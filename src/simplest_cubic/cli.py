@@ -2,7 +2,8 @@
 
 Subcommands: analyze | nib | gaussian | table | verify.
 Exit codes: 0 ok, 2 usage error, 3 wild ramification (no NIB), 4 verification
-failure.  Output formats: md (default), json, csv.
+failure (including an ArithmeticError: the numeric precision cap reached, or
+a factorization that failed).  Output formats: md (default), json, csv.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def cmd_gaussian(args: argparse.Namespace) -> int:
     rep = period_identity(n)
     verify: NumericVerification | None = None
     if args.verify:
-        verify = numeric_verify_auto(n, args.precision)
+        verify = numeric_verify_auto(n, args.precision, display=rep.display)
     if args.format == "json":
         record = output_record(n, with_gaussian=False)
         record["gaussian"] = _gaussian_json(rep, verify)
@@ -222,11 +223,11 @@ def _qualifies(n: int, filt: str) -> bool:
 
 def _table_row(job: tuple[int, str]) -> tuple[int, object]:
     n, fmt = job
+    if fmt == "json":
+        return n, output_record(n)
     inv = conductor(n)
     dec = inv.decomposition
     rep = period_identity(n)
-    if fmt == "json":
-        return n, output_record(n)
     cells = [
         str(n),
         str(dec.delta_factors),
@@ -331,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

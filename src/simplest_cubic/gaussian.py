@@ -20,7 +20,6 @@ subgroups of (Z/fZ)^* and compares exactly after rounding.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import mpmath
@@ -92,31 +91,30 @@ def _display_generator(n: int) -> NibGenerator:
     return _display_by_matching(n)
 
 
-def _display_by_matching(n: int, bits: int = 96) -> NibGenerator:
+def _display_by_matching(n: int) -> NibGenerator:
+    """The trio member whose value at the sigma^2-positioned root is the
+    period of the coset of 1, doubling the precision from 96 bits up to
+    1024 until the subgroup and the conjugate are told apart."""
     inv = conductor(n)
     t = inv.prime_count
     mu = 1 if t % 2 == 0 else -1
     trio = [g for g in all_generators(n) if g.epsilon == mu]
-    roots = numeric_roots(n, bits)
-    with mpmath.workprec(bits + 32):
-        subgroups = _matched_subgroup(n, trio, roots, bits)
-        if subgroups is None:
-            if bits >= 1024:
-                raise PrecisionInsufficientError(
-                    f"cannot identify the period subgroup for n={n} at {bits} bits"
-                )
-            return _display_by_matching(n, bits * 2)
-        _, periods = subgroups
-        eta0 = periods[0]
-        tol = mpmath.mpf(2) ** (-bits // 3)
-        hits = [g for g in trio if abs(g.element.eval_at(roots[2]) - eta0) < tol]
-        if len(hits) != 1:
-            if bits >= 1024:
-                raise PrecisionInsufficientError(
-                    f"cannot separate period conjugates for n={n} at {bits} bits"
-                )
-            return _display_by_matching(n, bits * 2)
-        return hits[0]
+    bits = 96
+    while True:
+        roots = numeric_roots(n, bits)
+        with mpmath.workprec(bits + 32):
+            subgroup = _matched_subgroup(n, trio, roots, bits)
+            if subgroup is not None:
+                eta0 = subgroup[1][0]
+                tol = mpmath.mpf(2) ** (-bits // 3)
+                hits = [g for g in trio if abs(g.element.eval_at(roots[2]) - eta0) < tol]
+                if len(hits) == 1:
+                    return hits[0]
+        if bits >= 1024:
+            raise PrecisionInsufficientError(
+                f"cannot identify the period conjugate for n={n} at {bits} bits"
+            )
+        bits *= 2
 
 
 def period_identity(n: int, verify_bits: int | None = None) -> GaussianReport:
@@ -146,7 +144,7 @@ def period_identity(n: int, verify_bits: int | None = None) -> GaussianReport:
     if display.epsilon != mu or display.element.trace() != mobius(inv.conductor):
         raise ArithmeticError(f"period trace violation for n={n}; arithmetic bug")
     if verify_bits is not None:
-        result = numeric_verify(n, verify_bits)
+        result = numeric_verify(n, verify_bits, display)
         report = dataclasses.replace(report, numeric_match=(result.ok, result.residual))
     return report
 
@@ -177,10 +175,9 @@ def corollary_forms(n: int) -> CorollaryForm | None:
 
 
 class _CubeClassifier:
-    """Classifies units of (Z/fZ)^* by cubic-residue character per prime."""
+    """The split primes of f and the index-3 subgroups of (Z/fZ)^*."""
 
     def __init__(self, f: int):
-        self.f = f
         fac = factor(f)
         if any(e > 1 for _, e in fac.factors):
             raise ValueError(f"f = {f} is not square-free")
@@ -188,14 +185,6 @@ class _CubeClassifier:
         self.split_primes = tuple(p for p in self.primes if p % 3 == 1)
         if not self.split_primes:
             raise ValueError(f"3 does not divide phi({f}): no cubic subfield")
-        self._maps = []
-        for p in self.split_primes:
-            g = _primitive_root(p)
-            w = pow(g, (p - 1) // 3, p)
-            self._maps.append((p, (p - 1) // 3, {1: 0, w: 1, w * w % p: 2}))
-
-    def vector(self, h: int) -> tuple[int, ...]:
-        return tuple(tab[pow(h % p, e, p)] for p, e, tab in self._maps)
 
     def hyperplanes(self) -> list[tuple[int, ...]]:
         """All index-3 subgroups of (Z/fZ)^*, as dual vectors up to scaling."""
@@ -226,27 +215,33 @@ def _primitive_root(p: int) -> int:
     return g
 
 
-def _period_sums(
-    cls: _CubeClassifier, lambdas: list[tuple[int, ...]], precision_bits: int
-) -> dict[tuple[int, ...], list[mpmath.mpf]]:
-    """One pass over (Z/fZ)^*, accumulating the three cosets per hyperplane."""
-    f = cls.f
-    with mpmath.workprec(precision_bits + 32):
-        zeta = mpmath.expjpi(mpmath.mpf(2) / f)
-        buckets = {lam: [mpmath.mpf(0)] * 3 for lam in lambdas}
+def _cube_cosets(p: int) -> bytearray:
+    """coset[x] = j mod 3 for x = g^j mod p, g the least primitive root."""
+    g = _primitive_root(p)
+    coset = bytearray(p)
+    x = 1
+    for j in range(p - 1):
+        coset[x] = j % 3
+        x = x * g % p
+    return coset
+
+
+def _cubic_coset_sums(p: int, coset: bytearray, bits: int) -> list[mpmath.mpf]:
+    """P_k = sum of exp(2*pi*i*x/p) over the x in cube coset k, k = 0, 1, 2.
+
+    -1 is a cube mod p, so x and p - x share a coset and P_k is twice the
+    sum of cos(2*pi*x/p) over the x <= (p-1)/2 in coset k.  The rotation
+    z <- z*zeta drifts by about x ulps after x steps, so the sums carry an
+    error below p^2 ulps: 2*bit_length(p) guard bits.
+    """
+    with mpmath.workprec(bits + 2 * p.bit_length()):
+        zeta = mpmath.expjpi(mpmath.mpf(2) / p)
+        sums = [mpmath.mpf(0)] * 3
         z = mpmath.mpc(1)
-        for h in range(1, f):
-            z = z * zeta
-            if math.gcd(h, f) != 1:
-                continue
-            vec = cls.vector(h)
-            re = mpmath.re(z)
-            for lam in lambdas:
-                k = 0
-                for coef, v in zip(lam, vec):
-                    k += coef * v
-                buckets[lam][k % 3] += re
-        return buckets
+        for x in range(1, (p + 1) // 2):
+            z *= zeta
+            sums[coset[x]] += z.real
+        return [2 * s for s in sums]
 
 
 def numeric_periods(
@@ -257,39 +252,67 @@ def numeric_periods(
     Each entry is (description, [eta_0, eta_1, eta_2]) with eta_0 the coset
     of 1.  Subgroups whose fixed field has conductor properly dividing f
     are discarded.
+
+    The subgroup with dual vector lam is the kernel of the cubic character
+    chi = prod chi_i^lam_i, chi_i(g_i^j) = omega^j, and eta_k =
+    (mu(f) + 2*Re(omega^-k * G)) / 3 for its Gauss sum G.  By CRT,
+    G = prod chi_i^lam_i(f/p_i) * g(chi_i^lam_i), where g(chi_i) =
+    P_0 + omega*P_1 + omega^2*P_2 from the coset sums P_k modulo p_i and
+    g(chi_i^2) = conj(g(chi_i)).  So the work is O(sum of p_i), not O(f).
+    Each eta_k is within 2^-(precision_bits + 24).
     """
     if f <= 1:
         raise ValueError(f"need f > 1, got {f}")
     cls = _CubeClassifier(f)
     lambdas = [lam for lam in cls.hyperplanes() if cls.full_conductor(lam)]
-    buckets = _period_sums(cls, lambdas, precision_bits)
+    # Callers work at precision_bits + 32.  |g(chi_j)| = sqrt(p_j), so an
+    # error in g(chi_i) is magnified by sqrt(f/p_i) in G, which half of
+    # bit_length(f) more guard bits covers.
+    bits = precision_bits + 32 + f.bit_length() // 2
+    factors = []
+    for p in cls.split_primes:
+        coset = _cube_cosets(p)
+        factors.append((_cubic_coset_sums(p, coset, bits), coset[f // p % p]))
+    mu = (-1) ** len(cls.primes)
     out = []
-    for lam in lambdas:
-        desc = "chi" + "".join(
-            f" {p}^{c}" for p, c in zip(cls.split_primes, lam)
-        )
-        out.append((desc, buckets[lam]))
+    with mpmath.workprec(bits):
+        omega = mpmath.expjpi(mpmath.mpf(2) / 3)
+        powers = [mpmath.mpc(1), omega, omega * omega]
+        for lam in lambdas:
+            gauss = mpmath.mpc(1)
+            for c, (sums, v) in zip(lam, factors):
+                # chi^c(f/p) * g(chi^c) = sum_k omega^(c*(k + v)) * P_k
+                gauss *= sum(powers[c * (k + v) % 3] * sums[k] for k in range(3))
+            periods = [(mu + 2 * mpmath.re(gauss * powers[-k % 3])) / 3 for k in range(3)]
+            desc = "chi" + "".join(
+                f" {p}^{c}" for p, c in zip(cls.split_primes, lam)
+            )
+            out.append((desc, periods))
     return out
 
 
-def numeric_verify(n: int, precision_bits: int = 256) -> NumericVerification:
+def numeric_verify(
+    n: int, precision_bits: int = 256, display: NibGenerator | None = None
+) -> NumericVerification:
     """Check the period identification numerically against subgroup sums.
 
     True iff some full-conductor subgroup yields three periods whose monic
     cubic (symmetric functions rounded to nearest integers) equals the
     predicted minimal polynomial with pre-rounding residual below
     2^(-precision_bits/2), and the period values match the generator values
-    at the sigma-ordered roots under some cyclic labeling.
+    at the sigma-ordered roots under some cyclic labeling.  ``display`` is
+    the printed generator when the caller already has it (the report's
+    ``display``); otherwise it is recomputed.
     """
     require_tame(n)
     inv = conductor(n)
     f = inv.conductor
-    report = period_identity(n)
-    predicted = report.min_poly.coefficients()
+    if display is None:
+        display = _display_generator(n)
+    predicted = display.min_poly.coefficients()
     dec = inv.decomposition
     ec2 = dec.e * dec.c**2
-    a0, a1 = report.display.a0, report.display.a1
-    m = report.display.m
+    a0, a1, m = display.a0, display.a1, display.m
     roots = numeric_roots(n, precision_bits)
     with mpmath.workprec(precision_bits + 32):
         tol = mpmath.mpf(2) ** (-(precision_bits // 2))
@@ -350,13 +373,19 @@ def numeric_verify(n: int, precision_bits: int = 256) -> NumericVerification:
 
 
 def numeric_verify_auto(
-    n: int, precision_bits: int = 256, cap: int = 4096
+    n: int,
+    precision_bits: int = 256,
+    cap: int = 4096,
+    display: NibGenerator | None = None,
 ) -> NumericVerification:
     """numeric_verify with the doubling retry policy, capped at 4096 bits."""
+    require_tame(n)
+    if display is None:
+        display = _display_generator(n)
     bits = precision_bits
     while True:
         try:
-            return numeric_verify(n, bits)
+            return numeric_verify(n, bits, display)
         except PrecisionInsufficientError:
             if bits * 2 > cap:
                 raise

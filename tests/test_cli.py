@@ -150,3 +150,52 @@ def test_verify_subcommand():
     assert "pass" in out.stdout
     out = run_cli("verify", "9")
     assert out.returncode == 3
+
+
+def test_precision_cap_exit_code(monkeypatch, capsys):
+    # No subgroup ever matches, so the display search doubles to its cap.
+    from simplest_cubic import cli, gaussian
+
+    monkeypatch.setattr(gaussian, "_matched_subgroup", lambda *args: None)
+    assert cli.main(["gaussian", "66"]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot identify the period conjugate for n=66")
+    assert err.count("\n") == 1
+
+
+def test_pollard_rho_failure_exit_code(monkeypatch, capsys):
+    # Delta_(10^7) = 3302917 * 30276277: both factors lie past trial division.
+    from simplest_cubic import arith, cli, invariants
+
+    def fail(m: int) -> int:
+        raise ArithmeticError(f"pollard rho failed on {m}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", fail)
+    invariants.conductor.cache_clear()
+    invariants.decompose.cache_clear()
+    assert cli.main(["analyze", "10000000"]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err == "error: pollard rho failed on 100000030000009\n"
+
+
+def test_verify_runs_one_display_pass(monkeypatch, capsys):
+    # n = 66 matches its period numerically (96 bits); the oracle runs at 256.
+    # Each command computes the printed period once.
+    from simplest_cubic import cli, gaussian
+
+    passes = []
+    real = gaussian.numeric_periods
+
+    def spy(f, precision_bits=256):
+        passes.append(precision_bits)
+        return real(f, precision_bits)
+
+    monkeypatch.setattr(gaussian, "numeric_periods", spy)
+    for argv in (["gaussian", "66", "--verify"], ["verify", "66"]):
+        passes.clear()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert passes == [96, 256], argv
+    passes.clear()
+    assert cli.main(["table", "--from", "66", "--to", "66", "--format", "json"]) == 0
+    assert passes == [96]
+    capsys.readouterr()

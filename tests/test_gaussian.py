@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import mpmath
 import pytest
 
 from golden_data import TABLE1, TABLE2, CONJUGATE_CONVENTION_ROWS, element_of, poly_of
-from simplest_cubic.arith import mobius
+from simplest_cubic.arith import factor, mobius
+from simplest_cubic.eisenstein import EisensteinInt, eis_gcd, from_int
 from simplest_cubic.gaussian import (
     corollary_forms,
     numeric_periods,
@@ -157,3 +161,91 @@ def test_numeric_verify_auto():
 def test_numeric_verify_rejects_wild():
     with pytest.raises(WildRamificationError):
         numeric_verify(30, 128)
+
+
+def direct_periods(f: int, precision_bits: int) -> list[tuple[str, list[mpmath.mpf]]]:
+    """Reference: the O(f) sum of exp(2*pi*i*h/f) over each coset of (Z/fZ)^*,
+    for f < 10^5 a product of primes = 1 (mod 3).
+
+    A coset is read off the cubic residue class of h modulo each prime;
+    the rotation z <- z*zeta over h < f drifts by at most f^2 ulps, which
+    64 guard bits cover for f < 10^5.
+    """
+    primes = factor(f).primes()
+    assert f < 10**5 and all(p % 3 == 1 for p in primes)
+    classes = []
+    for p in primes:
+        g = next(g for g in range(2, p) if all(
+            pow(g, (p - 1) // q, p) != 1 for q in factor(p - 1).primes()))
+        w = pow(g, (p - 1) // 3, p)
+        classes.append((p, {1: 0, w: 1, w * w % p: 2}))
+    lambdas = [(1,) + rest for rest in itertools.product((1, 2), repeat=len(primes) - 1)]
+    with mpmath.workprec(precision_bits + 64):
+        zeta = mpmath.expjpi(mpmath.mpf(2) / f)
+        sums = {lam: [mpmath.mpf(0)] * 3 for lam in lambdas}
+        z = mpmath.mpc(1)
+        for h in range(1, f):
+            z *= zeta
+            if math.gcd(h, f) != 1:
+                continue
+            vec = [tab[pow(h, (p - 1) // 3, p)] for p, tab in classes]
+            for lam in lambdas:
+                sums[lam][sum(c * v for c, v in zip(lam, vec)) % 3] += z.real
+    return [
+        ("chi" + "".join(f" {p}^{c}" for p, c in zip(primes, lam)), sums[lam])
+        for lam in lambdas
+    ]
+
+
+def test_numeric_periods_match_direct_sum():
+    for f in (7, 13, 241, 20011, 91, 1561, 50491, 2821, 4123, 48307):
+        reference = direct_periods(f, 256)
+        for bits in (96, 256):
+            got = numeric_periods(f, bits)
+            assert [d for d, _ in got] == [d for d, _ in reference], (f, bits)
+            with mpmath.workprec(bits + 64):
+                err = max(
+                    abs(a - b)
+                    for (_, mine), (_, ref) in zip(got, reference)
+                    for a, b in zip(mine, ref)
+                )
+            assert err < mpmath.mpf(2) ** -bits, (f, bits, err)
+
+
+def primary_prime(p: int) -> EisensteinInt:
+    """The prime pi = x + y*zeta over p = 1 (mod 3) with pi = 2 (mod 3)."""
+    r = next(r for r in range(p) if (r * r + r + 1) % p == 0)
+    pi = eis_gcd(from_int(p), EisensteinInt(r, -1))
+    assert pi.norm() == p
+    (primary,) = [u for u in pi.associates() if u.x % 3 == 2 and u.y % 3 == 0]
+    return primary
+
+
+def test_period_polynomials_exact():
+    # y = 3*eta - mu(f) is a root of y^3 - 3f*y - 2f*Re(prod pi_i^(lam_i)),
+    # from g(chi_pi)^3 = p*pi (pi primary) and |G|^2 = f.
+    polys = {}
+    for f in (7, 13, 91, 241, 1729, 4123):
+        primes = factor(f).primes()
+        pis = [primary_prime(p) for p in primes]
+        exact = set()
+        for lam in itertools.product((1, 2), repeat=len(primes) - 1):
+            prod = pis[0]
+            for c, pi in zip(lam, pis[1:]):
+                prod = prod * (pi if c == 1 else pi.conj())
+            exact.add((0, -3 * f, -f * (2 * prod.x - prod.y)))  # 2*Re(x + y*zeta)
+        numeric = set()
+        mu = mobius(f)
+        with mpmath.workprec(160):
+            for _, etas in numeric_periods(f, 128):
+                y = [3 * eta - mu for eta in etas]
+                approx = [-(y[0] + y[1] + y[2]),
+                          y[0] * y[1] + y[1] * y[2] + y[2] * y[0],
+                          -(y[0] * y[1] * y[2])]
+                rounded = tuple(int(mpmath.nint(c)) for c in approx)
+                assert max(abs(c - r) for c, r in zip(approx, rounded)) < 2**-64
+                numeric.add(rounded)
+        assert numeric == exact, f
+        polys[f] = exact
+    assert polys[7] == {(0, -21, -7)}  # y^3 - 21y - 7
+    assert len(polys[1729]) == 4
