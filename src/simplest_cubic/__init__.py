@@ -38,7 +38,6 @@ from .invariants import (
     conductor,
     decompose,
     delta,
-    has_nib,
     is_tame,
 )
 from .nib import (

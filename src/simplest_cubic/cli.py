@@ -81,11 +81,17 @@ def _gaussian_json(rep: GaussianReport, verify: NumericVerification | None) -> d
     }
 
 
-def output_record(n: int, with_gaussian: bool = True) -> dict:
-    """The full machine-readable record for one n (generators null when wild)."""
+def output_record(
+    n: int,
+    gens: list[NibGenerator] | None = None,
+    rep: GaussianReport | None = None,
+    verify: NumericVerification | None = None,
+) -> dict:
+    """The machine-readable record for one n, built from the data the command
+    already computed (generators and gaussian are null when not given)."""
     inv = conductor(n)
     dec = inv.decomposition
-    record = {
+    return {
         "n": n,
         "delta": {"value": dec.delta, "factored": str(dec.delta_factors)},
         "decomposition": {"b": dec.b, "c": dec.c, "d": dec.d, "e": dec.e},
@@ -94,76 +100,19 @@ def output_record(n: int, with_gaussian: bool = True) -> dict:
         "discriminant": inv.discriminant,
         "tame": inv.tame,
         "prime_count": inv.prime_count,
-        "generators": None,
-        "gaussian": None,
+        "generators": None if gens is None else [_generator_json(g) for g in gens],
+        "gaussian": None if rep is None else _gaussian_json(rep, verify),
     }
-    if inv.tame:
-        record["generators"] = [_generator_json(g) for g in all_generators(n)]
-        if with_gaussian:
-            record["gaussian"] = _gaussian_json(period_identity(n), None)
-    return record
 
 
-def _analyze_lines(n: int) -> list[str]:
-    inv = conductor(n)
-    dec = inv.decomposition
-    return [
-        f"n={n}",
-        f"Δ={format_integer_factored(dec.delta, dec.delta_factors)}",
-        f"d={dec.d} e={dec.e} c={dec.c}",
-        f"γ={inv.gamma}",
-        f"f={format_integer_factored(inv.conductor, inv.conductor_factors)}",
-        f"D={inv.discriminant}={inv.conductor}^2",
-        "tame=true" if inv.tame else "tame=false, no NIB",
-    ]
+def _factored(entry: dict) -> str:
+    return format_integer_factored(entry["value"], entry["factored"])
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    n = args.n
-    if args.format == "json":
-        print(json.dumps(output_record(n, with_gaussian=is_tame(n)), ensure_ascii=False))
-    elif args.format == "csv":
-        inv = conductor(n)
-        dec = inv.decomposition
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "delta", "delta_factored", "d", "e", "c", "gamma",
-                         "conductor", "discriminant", "tame"])
-        writer.writerow([n, dec.delta, str(dec.delta_factors), dec.d, dec.e, dec.c,
-                         inv.gamma, inv.conductor, inv.discriminant,
-                         "true" if inv.tame else "false"])
-    else:
-        print("\n".join(_analyze_lines(n)))
-    return EXIT_OK
-
-
-NIB_HEADER = ["{a0,a1}", "generator", "minimal polynomial"]
-
-
-def _nib_rows(n: int) -> list[list[str]]:
-    return [
-        [
-            "{%d,%d}" % (g.a0, g.a1),
-            format_element(g.element),
-            format_poly(g.min_poly),
-        ]
-        for g in all_generators(n)
-    ]
-
-
-def cmd_nib(args: argparse.Namespace) -> int:
-    n = args.n
-    gens = all_generators(n)  # raises WildRamificationError for wild n
-    if args.format == "json":
-        print(json.dumps(output_record(n, with_gaussian=False), ensure_ascii=False))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "a0", "a1", "generator", "min_poly"])
-        for g in gens:
-            writer.writerow([n, g.a0, g.a1, format_element(g.element),
-                             format_poly(g.min_poly)])
-    else:
-        print(_markdown_table(NIB_HEADER, _nib_rows(n)))
-    return EXIT_OK
+def _write_csv(header: list[str], rows: list[list]) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
@@ -173,34 +122,76 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def cmd_analyze(args: argparse.Namespace) -> int:
+    n = args.n
+    if args.format == "json":
+        tame = is_tame(n)
+        record = output_record(n, all_generators(n) if tame else None,
+                               period_identity(n) if tame else None)
+        print(json.dumps(record, ensure_ascii=False))
+        return EXIT_OK
+    record = output_record(n)
+    dec = record["decomposition"]
+    if args.format == "csv":
+        _write_csv(["n", "delta", "delta_factored", "d", "e", "c", "gamma",
+                    "conductor", "discriminant", "tame"],
+                   [[n, record["delta"]["value"], record["delta"]["factored"], dec["d"],
+                     dec["e"], dec["c"], record["gamma"], record["conductor"]["value"],
+                     record["discriminant"], "true" if record["tame"] else "false"]])
+    else:
+        print("\n".join([
+            f"n={n}",
+            f"Δ={_factored(record['delta'])}",
+            f"d={dec['d']} e={dec['e']} c={dec['c']}",
+            f"γ={record['gamma']}",
+            f"f={_factored(record['conductor'])}",
+            f"D={record['discriminant']}={record['conductor']['value']}^2",
+            "tame=true" if record["tame"] else "tame=false, no NIB",
+        ]))
+    return EXIT_OK
+
+
+NIB_HEADER = ["{a0,a1}", "generator", "minimal polynomial"]
+
+
+def cmd_nib(args: argparse.Namespace) -> int:
+    n = args.n
+    record = output_record(n, all_generators(n))  # raises WildRamificationError for wild n
+    gens = record["generators"]
+    if args.format == "json":
+        print(json.dumps(record, ensure_ascii=False))
+    elif args.format == "csv":
+        _write_csv(["n", "a0", "a1", "generator", "min_poly"],
+                   [[n, *g["pair"], g["element"], g["min_poly"]["string"]] for g in gens])
+    else:
+        print(_markdown_table(NIB_HEADER, [
+            ["{%d,%d}" % tuple(g["pair"]), g["element"], g["min_poly"]["string"]] for g in gens
+        ]))
+    return EXIT_OK
+
+
 def cmd_gaussian(args: argparse.Namespace) -> int:
     n = args.n
     rep = period_identity(n)
-    verify: NumericVerification | None = None
-    if args.verify:
-        verify = numeric_verify_auto(n, args.precision, display=rep.display)
+    verify = numeric_verify_auto(n, args.precision, display=rep.display) if args.verify else None
+    gens = all_generators(n) if args.format == "json" else None
+    record = output_record(n, gens, rep, verify)
+    period, match = record["gaussian"], record["gaussian"]["numeric_match"]
+    status = "" if match is None else ("pass" if match["ok"] else "fail")
     if args.format == "json":
-        record = output_record(n, with_gaussian=False)
-        record["gaussian"] = _gaussian_json(rep, verify)
         print(json.dumps(record, ensure_ascii=False))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "conductor", "prime_count", "period", "min_poly", "verified"])
-        writer.writerow([
-            n, conductor(n).conductor, rep.prime_count,
-            format_element(rep.period_element), format_poly(rep.min_poly),
-            "" if verify is None else ("pass" if verify.ok else "fail"),
-        ])
+        _write_csv(["n", "conductor", "prime_count", "period", "min_poly", "verified"],
+                   [[n, record["conductor"]["value"], record["prime_count"],
+                     period["element"], period["min_poly"]["string"], status]])
     else:
-        inv = conductor(n)
-        print(f"n={n} f={format_integer_factored(inv.conductor, inv.conductor_factors)} t={rep.prime_count}")
-        print(f"η = {format_element(rep.period_element)}")
-        print(f"minimal polynomial: {format_poly(rep.min_poly)}")
-        if verify is not None:
-            status = "pass" if verify.ok else "fail"
-            print(f"verify={status} residual={verify.residual:.3e} "
-                  f"precision={verify.precision_bits} subgroup=[{verify.subgroup}]")
-    if verify is not None and not verify.ok:
+        print(f"n={n} f={_factored(record['conductor'])} t={record['prime_count']}")
+        print(f"η = {period['element']}")
+        print(f"minimal polynomial: {period['min_poly']['string']}")
+        if match is not None:
+            print(f"verify={status} residual={float(match['residual']):.3e} "
+                  f"precision={match['precision_bits']} subgroup=[{match['subgroup']}]")
+    if match is not None and not match["ok"]:
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -221,21 +212,16 @@ def _qualifies(n: int, filt: str) -> bool:
     raise ValueError(f"unknown filter {filt}")
 
 
-def _table_row(job: tuple[int, str]) -> tuple[int, object]:
+def _table_record(job: tuple[int, str]) -> dict:
     n, fmt = job
-    if fmt == "json":
-        return n, output_record(n)
-    inv = conductor(n)
-    dec = inv.decomposition
     rep = period_identity(n)
-    cells = [
-        str(n),
-        str(dec.delta_factors),
-        str(inv.conductor_factors),
-        format_element(rep.period_element),
-        format_poly(rep.min_poly),
-    ]
-    return n, cells
+    return output_record(n, all_generators(n) if fmt == "json" else None, rep)
+
+
+def _table_cells(record: dict) -> list[str]:
+    period = record["gaussian"]
+    return [str(record["n"]), record["delta"]["factored"], record["conductor"]["factored"],
+            period["element"], period["min_poly"]["string"]]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -249,18 +235,16 @@ def cmd_table(args: argparse.Namespace) -> int:
     work = [(n, args.format) for n in ns]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_table_row, work, chunksize=max(1, len(work) // (4 * jobs))))
+            records = list(pool.map(_table_record, work, chunksize=max(1, len(work) // (4 * jobs))))
     else:
-        results = [_table_row(w) for w in work]
+        records = [_table_record(w) for w in work]
     if args.format == "json":
-        print(json.dumps([rec for _, rec in results], ensure_ascii=False, indent=2))
+        print(json.dumps(records, ensure_ascii=False, indent=2))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "delta", "conductor", "period", "min_poly"])
-        for _, cells in results:
-            writer.writerow(cells)
+        _write_csv(["n", "delta", "conductor", "period", "min_poly"],
+                   [_table_cells(r) for r in records])
     else:
-        print(_markdown_table(TABLE_HEADER, [cells for _, cells in results]))
+        print(_markdown_table(TABLE_HEADER, [_table_cells(r) for r in records]))
     return EXIT_OK
 
 
@@ -289,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("md", "json", "csv"), default="md")
-    common.add_argument("--precision", type=int, default=256, metavar="BITS")
+    precision = argparse.ArgumentParser(add_help=False)  # gaussian and verify only
+    precision.add_argument("--precision", type=int, default=256, metavar="BITS")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common], help="field invariants of L_n")
@@ -300,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_nib)
 
-    p = sub.add_parser("gaussian", parents=[common], help="Gaussian period identity")
+    p = sub.add_parser("gaussian", parents=[common, precision], help="Gaussian period identity")
     p.add_argument("n", type=int)
     p.add_argument("--verify", action="store_true",
                    help="run the numeric period oracle")
@@ -314,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: available parallelism)")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, precision],
                        help="full verification suite for one n")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_verify)

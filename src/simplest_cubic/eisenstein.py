@@ -93,12 +93,6 @@ class EisensteinInt:
         _, r = other.divmod_nearest(self)
         return r.is_zero()
 
-    def exact_div(self, other: "EisensteinInt") -> "EisensteinInt":
-        q, r = self.divmod_nearest(other)
-        if not r.is_zero():
-            raise ValueError(f"{other} does not divide {self} in Z[zeta]")
-        return q
-
     def __str__(self) -> str:
         return f"{self.x}{self.y:+}ζ"
 

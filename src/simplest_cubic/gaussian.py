@@ -19,7 +19,7 @@ subgroups of (Z/fZ)^* and compares exactly after rounding.
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import mpmath
@@ -37,6 +37,10 @@ from .nib import (
 )
 
 
+# The highest precision numeric_verify_auto doubles up to.
+PRECISION_CAP = 4096
+
+
 class PrecisionInsufficientError(ArithmeticError):
     """The working precision cannot separate or certify the period data."""
 
@@ -50,7 +54,6 @@ class GaussianReport:
     canonical: tuple[int, int]
     display: NibGenerator
     min_poly: MonicCubic
-    numeric_match: tuple[bool, float] | None = None
 
     @property
     def period_element(self) -> FieldElement:
@@ -117,7 +120,7 @@ def _display_by_matching(n: int) -> NibGenerator:
         bits *= 2
 
 
-def period_identity(n: int, verify_bits: int | None = None) -> GaussianReport:
+def period_identity(n: int) -> GaussianReport:
     """The Gaussian-period identification for tame n.
 
     The report carries the canonical pair, its trace sign eps, the global
@@ -132,7 +135,9 @@ def period_identity(n: int, verify_bits: int | None = None) -> GaussianReport:
     mu = 1 if t % 2 == 0 else -1
     sign = mu * eps
     display = _display_generator(n)
-    report = GaussianReport(
+    if display.epsilon != mu or display.element.trace() != mobius(inv.conductor):
+        raise ArithmeticError(f"period trace violation for n={n}; arithmetic bug")
+    return GaussianReport(
         n=n,
         prime_count=t,
         epsilon=eps,
@@ -141,12 +146,6 @@ def period_identity(n: int, verify_bits: int | None = None) -> GaussianReport:
         display=display,
         min_poly=display.min_poly,
     )
-    if display.epsilon != mu or display.element.trace() != mobius(inv.conductor):
-        raise ArithmeticError(f"period trace violation for n={n}; arithmetic bug")
-    if verify_bits is not None:
-        result = numeric_verify(n, verify_bits, display)
-        report = dataclasses.replace(report, numeric_match=(result.ok, result.residual))
-    return report
 
 
 def corollary_forms(n: int) -> CorollaryForm | None:
@@ -172,39 +171,6 @@ def corollary_forms(n: int) -> CorollaryForm | None:
     w = -mu
     elem = FieldElement(n, (-5 * w, -(n + 2) * w, w), 9)
     return CorollaryForm("h", n, t, None, elem, poly)
-
-
-class _CubeClassifier:
-    """The split primes of f and the index-3 subgroups of (Z/fZ)^*."""
-
-    def __init__(self, f: int):
-        fac = factor(f)
-        if any(e > 1 for _, e in fac.factors):
-            raise ValueError(f"f = {f} is not square-free")
-        self.primes = fac.primes()
-        self.split_primes = tuple(p for p in self.primes if p % 3 == 1)
-        if not self.split_primes:
-            raise ValueError(f"3 does not divide phi({f}): no cubic subfield")
-
-    def hyperplanes(self) -> list[tuple[int, ...]]:
-        """All index-3 subgroups of (Z/fZ)^*, as dual vectors up to scaling."""
-        s = len(self.split_primes)
-        out: list[tuple[int, ...]] = []
-
-        def rec(i: int, cur: tuple[int, ...], leading: bool) -> None:
-            if i == s:
-                if any(cur):
-                    out.append(cur)
-                return
-            choices = (0, 1) if leading else (0, 1, 2)
-            for coef in choices:
-                rec(i + 1, cur + (coef,), leading and coef == 0)
-
-        rec(0, (), True)
-        return out
-
-    def full_conductor(self, lam: tuple[int, ...]) -> bool:
-        return all(c != 0 for c in lam) and len(self.split_primes) == len(self.primes)
 
 
 def _primitive_root(p: int) -> int:
@@ -249,9 +215,10 @@ def numeric_periods(
 ) -> list[tuple[str, list[mpmath.mpf]]]:
     """Gaussian periods for every full-conductor index-3 subgroup of (Z/fZ)^*.
 
-    Each entry is (description, [eta_0, eta_1, eta_2]) with eta_0 the coset
-    of 1.  Subgroups whose fixed field has conductor properly dividing f
-    are discarded.
+    f must be a product of distinct primes = 1 (mod 3).  Each entry is
+    (description, [eta_0, eta_1, eta_2]) with eta_0 the coset of 1, one per
+    dual vector lam = (1, lam_2, ..., lam_s), lam_i in {1, 2}: the subgroups
+    whose fixed field has conductor exactly f, up to scaling lam.
 
     The subgroup with dual vector lam is the kernel of the cubic character
     chi = prod chi_i^lam_i, chi_i(g_i^j) = omega^j, and eta_k =
@@ -261,19 +228,20 @@ def numeric_periods(
     g(chi_i^2) = conj(g(chi_i)).  So the work is O(sum of p_i), not O(f).
     Each eta_k is within 2^-(precision_bits + 24).
     """
-    if f <= 1:
-        raise ValueError(f"need f > 1, got {f}")
-    cls = _CubeClassifier(f)
-    lambdas = [lam for lam in cls.hyperplanes() if cls.full_conductor(lam)]
+    fac = factor(f)
+    primes = fac.primes()
+    if f <= 1 or any(e > 1 for _, e in fac.factors) or any(p % 3 != 1 for p in primes):
+        raise ValueError(f"f = {f} is not a product of distinct primes = 1 (mod 3)")
+    lambdas = [(1,) + r for r in itertools.product((1, 2), repeat=len(primes) - 1)]
     # Callers work at precision_bits + 32.  |g(chi_j)| = sqrt(p_j), so an
     # error in g(chi_i) is magnified by sqrt(f/p_i) in G, which half of
     # bit_length(f) more guard bits covers.
     bits = precision_bits + 32 + f.bit_length() // 2
     factors = []
-    for p in cls.split_primes:
+    for p in primes:
         coset = _cube_cosets(p)
         factors.append((_cubic_coset_sums(p, coset, bits), coset[f // p % p]))
-    mu = (-1) ** len(cls.primes)
+    mu = (-1) ** len(primes)
     out = []
     with mpmath.workprec(bits):
         omega = mpmath.expjpi(mpmath.mpf(2) / 3)
@@ -284,9 +252,7 @@ def numeric_periods(
                 # chi^c(f/p) * g(chi^c) = sum_k omega^(c*(k + v)) * P_k
                 gauss *= sum(powers[c * (k + v) % 3] * sums[k] for k in range(3))
             periods = [(mu + 2 * mpmath.re(gauss * powers[-k % 3])) / 3 for k in range(3)]
-            desc = "chi" + "".join(
-                f" {p}^{c}" for p, c in zip(cls.split_primes, lam)
-            )
+            desc = "chi" + "".join(f" {p}^{c}" for p, c in zip(primes, lam))
             out.append((desc, periods))
     return out
 
@@ -373,12 +339,9 @@ def numeric_verify(
 
 
 def numeric_verify_auto(
-    n: int,
-    precision_bits: int = 256,
-    cap: int = 4096,
-    display: NibGenerator | None = None,
+    n: int, precision_bits: int = 256, display: NibGenerator | None = None
 ) -> NumericVerification:
-    """numeric_verify with the doubling retry policy, capped at 4096 bits."""
+    """numeric_verify with the doubling retry policy, capped at PRECISION_CAP bits."""
     require_tame(n)
     if display is None:
         display = _display_generator(n)
@@ -387,7 +350,7 @@ def numeric_verify_auto(
         try:
             return numeric_verify(n, bits, display)
         except PrecisionInsufficientError:
-            if bits * 2 > cap:
+            if bits * 2 > PRECISION_CAP:
                 raise
             bits *= 2
 

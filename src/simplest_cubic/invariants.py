@@ -69,11 +69,6 @@ def is_tame(n: int) -> bool:
     return n % 3 != 0 or n % 27 == 12
 
 
-def has_nib(n: int) -> bool:
-    """True iff L_n has a normal integral basis (equivalent to tameness)."""
-    return is_tame(n)
-
-
 @lru_cache(maxsize=1 << 16)
 def decompose(n: int) -> DeltaDecomposition:
     """Canonical decomposition Delta_n = d * e^2 * c^3."""

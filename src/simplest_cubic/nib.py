@@ -8,10 +8,10 @@ the element
 
 is a generator of a normal integral basis, where eps in {-1, +1} is
 n*(a0+a1) mod 3 if 3 does not divide n and a0 mod 3 if n = 12 (mod 27).
-The six unit-associate pairs give all six generators: two sign classes of
-three conjugates each.  Every generator is verified on construction
-against the trace-form discriminant oracle and the closed-form minimal
-polynomial, which are computed along independent routes.
+The six unit-associate pairs give all six generators, +-sigma^k(alpha) for
+one alpha.  ``generator`` verifies alpha against the trace-form discriminant
+oracle and the closed-form minimal polynomial (independent routes);
+``all_generators`` checks the other five against the pair formula.
 """
 
 from __future__ import annotations
@@ -179,15 +179,28 @@ def canonical_pair(n: int) -> PairSet:
 def all_generators(n: int) -> list[NibGenerator]:
     """The six generators, ordered [c, σc, σ²c, -c, -σc, -σ²c] from the canonical pair.
 
-    The first trio are mutual conjugates (one minimal polynomial), the
-    second trio their negatives (the reflected polynomial).
+    Only the canonical generator g0 goes through the four checks of
+    ``generator``.  The others are its conjugates sigma^k(g0) (one minimal
+    polynomial) and their negatives (the reflected polynomial); each is
+    accepted only if the pair formula, with eps and m of the unit-multiplied
+    pair, reproduces its element and its polynomial exactly.
     """
-    pairs = canonical_pair(n)
-    p0 = pairs.canonical
+    p0 = canonical_pair(n).canonical
+    g0 = generator(n, *p0)
+    dec = conductor(n).decomposition
     p1 = sigma_pair(p0)
     p2 = sigma_pair(p1)
-    ordered = [p0, p1, p2, _neg(p0), _neg(p1), _neg(p2)]
-    return [generator(n, *p) for p in ordered]
+    trio = g0.element.conjugates()
+    derived = [(p1, trio[1]), (p2, trio[2])] + [(_neg(p), -x) for p, x in zip((p0, p1, p2), trio)]
+    out = [g0]
+    for k, (pair, elem) in enumerate(derived):
+        poly = g0.min_poly if k < 2 else g0.min_poly.reflected()
+        eps = epsilon(n, *pair)
+        m = m_value(n, *pair, eps)
+        if _element(n, *pair, m, dec.e, dec.c) != elem or min_poly_closed(n, *pair, m, eps, 1) != poly:
+            raise ArithmeticError(f"pair {pair} does not give the conjugate {elem!r} for n={n}")
+        out.append(NibGenerator(n, *pair, eps, m, elem, poly))
+    return out
 
 
 def _neg(pair: tuple[int, int]) -> tuple[int, int]:

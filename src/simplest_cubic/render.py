@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Factorization
 from .cubic_field import FieldElement, MonicCubic
 
 RHO = "ρ"
@@ -77,7 +76,6 @@ def format_poly(poly: MonicCubic, symbol: str = "X") -> str:
     return out
 
 
-def format_integer_factored(value: int, fac: Factorization) -> str:
-    """"82663=7^3·241" for composite-looking values, plain when prime or 1."""
-    shown = str(fac)
+def format_integer_factored(value: int, shown: str) -> str:
+    """"82663=7^3·241" from the factorization string shown, plain when prime or 1."""
     return str(value) if shown == str(value) else f"{value}={shown}"

@@ -199,3 +199,94 @@ def test_verify_runs_one_display_pass(monkeypatch, capsys):
     assert cli.main(["table", "--from", "66", "--to", "66", "--format", "json"]) == 0
     assert passes == [96]
     capsys.readouterr()
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count the calls of simplest_cubic's function ``name`` under every binding."""
+    fn = getattr(sys.modules["simplest_cubic.nib"], name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "simplest_cubic" or mod_name.startswith("simplest_cubic."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+def test_each_command_builds_the_generators_once(monkeypatch, capsys):
+    # n = 66 takes the numeric display path, whose trio needs all_generators.
+    from simplest_cubic import cli
+
+    gens = _count_calls(monkeypatch, "all_generators")
+    checks = _count_calls(monkeypatch, "verify_nib")
+    expected = {
+        ("nib", "66"): (1, 1),
+        ("nib", "66", "--format", "json"): (1, 1),
+        ("nib", "66", "--format", "csv"): (1, 1),
+        ("gaussian", "66", "--format", "json"): (2, 2),
+        ("analyze", "286", "--format", "json"): (2, 2),
+        ("table", "--from", "66", "--to", "66", "--format", "json"): (2, 2),
+        ("verify", "66"): (2, 8),  # its own verify_nib on all six
+    }
+    for argv, counts in expected.items():
+        gens.clear()
+        checks.clear()
+        assert cli.main(list(argv)) == cli.EXIT_OK
+        assert (len(gens), len(checks)) == counts, argv
+    capsys.readouterr()
+
+
+def test_precision_only_on_numeric_commands():
+    for argv in (("nib", "5"), ("analyze", "5"), ("table", "--from", "1", "--to", "2")):
+        out = run_cli(*argv, "--precision", "128")
+        assert out.returncode == 2, argv
+        assert "unrecognized arguments: --precision" in out.stderr
+    out = run_cli("gaussian", "12", "--verify", "--precision", "128")
+    assert out.returncode == 0
+    assert "verify=pass" in out.stdout and "precision=128" in out.stdout
+
+
+def _run_main(capsys, *argv: str) -> str:
+    from simplest_cubic import cli
+
+    assert cli.main(list(argv)) == cli.EXIT_OK
+    return capsys.readouterr().out
+
+
+def test_md_and_csv_cells_are_the_json_record(capsys):
+    for n in (12, 66, 286, -15):
+        record = json.loads(_run_main(capsys, "nib", str(n), "--format", "json"))
+        gens = record["generators"]
+        md = _run_main(capsys, "nib", str(n)).splitlines()[2:]
+        assert md == [
+            "| {%d,%d} | %s | %s |" % (*g["pair"], g["element"], g["min_poly"]["string"])
+            for g in gens
+        ]
+        rows = list(csv.reader(io.StringIO(_run_main(capsys, "nib", str(n), "--format", "csv"))))
+        assert rows[1:] == [
+            [str(n), str(g["pair"][0]), str(g["pair"][1]), g["element"], g["min_poly"]["string"]]
+            for g in gens
+        ]
+
+        record = json.loads(_run_main(capsys, "gaussian", str(n), "--verify", "--format", "json"))
+        period, match = record["gaussian"], record["gaussian"]["numeric_match"]
+        conductor = record["conductor"]
+        shown = conductor["factored"]
+        md = _run_main(capsys, "gaussian", str(n), "--verify").splitlines()
+        assert md[0] == "n=%d f=%s t=%d" % (
+            n, shown if shown == str(conductor["value"]) else f"{conductor['value']}={shown}",
+            record["prime_count"],
+        )
+        assert md[1] == f"η = {period['element']}"
+        assert md[2] == f"minimal polynomial: {period['min_poly']['string']}"
+        assert md[3] == (f"verify=pass residual={float(match['residual']):.3e} "
+                         f"precision={match['precision_bits']} subgroup=[{match['subgroup']}]")
+        rows = list(csv.reader(io.StringIO(
+            _run_main(capsys, "gaussian", str(n), "--verify", "--format", "csv"))))
+        assert rows[1] == [str(n), str(conductor["value"]), str(record["prime_count"]),
+                           period["element"], period["min_poly"]["string"], "pass"]

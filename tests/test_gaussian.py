@@ -135,6 +135,8 @@ def test_numeric_periods_rejections():
     with pytest.raises(ValueError):
         numeric_periods(10, 128)  # 3 does not divide phi
     with pytest.raises(ValueError):
+        numeric_periods(14, 128)  # 7 = 1 (mod 3), but 2 is not
+    with pytest.raises(ValueError):
         numeric_periods(1, 128)
 
 

@@ -7,7 +7,6 @@ from simplest_cubic.invariants import (
     conductor,
     decompose,
     delta,
-    has_nib,
     is_tame,
     require_tame,
 )
@@ -70,12 +69,12 @@ def test_tame_gamma_and_square_free():
         assert inv.tame == (mobius(inv.conductor) != 0)
 
 
-def test_has_nib_examples():
-    assert has_nib(286)
-    assert not has_nib(3)
-    assert has_nib(12)
-    assert not has_nib(0)
-    assert has_nib(-15)  # -15 = 12 (mod 27)
+def test_is_tame_examples():
+    assert is_tame(286)
+    assert not is_tame(3)
+    assert is_tame(12)
+    assert not is_tame(0)
+    assert is_tame(-15)  # -15 = 12 (mod 27)
     with pytest.raises(WildRamificationError):
         require_tame(30)
 

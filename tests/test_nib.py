@@ -179,3 +179,14 @@ def test_verify_nib_passes_on_golden_rows():
         report = verify_nib(generator(n, a0, a1))
         assert report.trace_ok and report.integral_ok
         assert report.disc_ok and report.closed_form_ok
+
+
+def test_all_generators_rejects_a_wrong_conjugate_pair(monkeypatch):
+    # The negated pair is a valid pair of the right norm, but its generator
+    # is -alpha, not sigma(alpha): the pair-formula check must catch it.
+    from simplest_cubic import nib
+
+    monkeypatch.setattr(nib, "sigma_pair", lambda pair: (-pair[0], -pair[1]))
+    for n in (286, 66, 12):
+        with pytest.raises(ArithmeticError):
+            all_generators(n)
