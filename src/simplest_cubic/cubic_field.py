@@ -281,27 +281,71 @@ def trace_form_disc(b1: FieldElement, b2: FieldElement, b3: FieldElement) -> Fra
     )
 
 
+def _root_brackets(n: int) -> tuple[tuple[int, int], ...]:
+    """Integer intervals, in descending order, on which f_n changes sign.
+
+    For n >= 0: f_n(-2) = -2n-3, f_n(-1) = 1, f_n(0) = -1,
+    f_n(n+1) = -2n-3 and f_n(n+2) = (n+1)(n+2) - 1.  For n <= -3 the roots
+    are the reciprocals of those of f_(-n-3) (X^3*f_m(1/X) = -f_(-m-3)(X)),
+    so one lies in each of (0, 1) and (-1, 0), and f_n(n) = -n^2-3n-1 < 0 <
+    f_n(n+1) = -2n-3 places the third.  n = -1 and n = -2 mirror each
+    other, so neither follows from n >= 0; their intervals come from the
+    same sign checks.
+    """
+    if n >= 0:
+        return ((n + 1, n + 2), (-1, 0), (-2, -1))
+    if n == -1:
+        return ((1, 2), (-1, 0), (-2, -1))
+    if n == -2:
+        return ((0, 1), (-1, 0), (-3, -2))
+    return ((0, 1), (-1, 0), (n, n + 1))
+
+
+def _fixed_point_root(n: int, lo: int, hi: int, bits: int) -> int:
+    """The root of f_n in (lo, hi) times 2^bits, within a few units.
+
+    With x = X/2^bits, F(X) = 2^(3*bits)*f_n(x) and D(X) = 2^(2*bits)*f_n'(x)
+    are exact integers, so bisection on sign(F) is exact and a Newton step
+    is X - F(X)//D(X).  Bisection narrows the interval to 2^-32, where the
+    root is simple and |f''/2f'| is below 2 for every n, so each Newton step
+    doubles the correct bits.
+    """
+    one = 1 << bits
+    a, b, c = n * one, (n + 3) * one * one, one * one * one
+
+    def f(x: int) -> int:
+        return ((x - a) * x - b) * x - c
+
+    lo, hi = lo * one, hi * one
+    rising = f(hi) > 0
+    while hi - lo > one >> 32:
+        mid = (lo + hi) >> 1
+        if (f(mid) > 0) == rising:
+            hi = mid
+        else:
+            lo = mid
+    x = lo
+    for _ in range((bits // 32).bit_length() + 1):
+        x -= f(x) // ((3 * x - 2 * a) * x - b)
+    return x
+
+
 def numeric_roots(n: int, precision_bits: int = 256) -> list[mpmath.mpf]:
     """The three real roots of the defining cubic, sigma-cycle ordered.
 
     roots[0] is the largest real root and roots[i+1] = -1/(1 + roots[i]),
     so the ordering realizes the Galois action numerically.  Each root is
-    certified to error below 2^(-precision_bits + 8).
+    isolated on an integer interval and refined in exact integer fixed
+    point, then certified to error below 2^(-precision_bits + 8).
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
     work = precision_bits + max(64, abs(n).bit_length() + 16)
     with mpmath.workprec(work):
-        coeffs = [1, -n, -(n + 3), -1]
-        raw = mpmath.polyroots(coeffs, maxsteps=200, extraprec=work)
-        roots = []
-        for r in raw:
-            x = mpmath.re(r)
-            for _ in range(4):
-                fx = ((x - n) * x - (n + 3)) * x - 1
-                dfx = (3 * x - 2 * n) * x - (n + 3)
-                x = x - fx / dfx
-            roots.append(x)
+        roots = [
+            mpmath.ldexp(_fixed_point_root(n, lo, hi, work), -work)
+            for lo, hi in _root_brackets(n)
+        ]
         roots.sort(reverse=True)
         ordered = [roots[0]]
         pool = roots[1:]

@@ -40,9 +40,17 @@ from .nib import (
 # The highest precision numeric_verify_auto doubles up to.
 PRECISION_CAP = 4096
 
+# The most terms numeric_periods sums: sum of the primes of the conductor.
+# Its memory and time are O(sum of p_i), about 1 byte and 1 us per term.
+PERIOD_BUDGET = 10**8
+
 
 class PrecisionInsufficientError(ArithmeticError):
     """The working precision cannot separate or certify the period data."""
+
+
+class PeriodBudgetError(ArithmeticError):
+    """The periods of the conductor need more than PERIOD_BUDGET terms."""
 
 
 @dataclass(frozen=True)
@@ -196,18 +204,29 @@ def _cubic_coset_sums(p: int, coset: bytearray, bits: int) -> list[mpmath.mpf]:
     """P_k = sum of exp(2*pi*i*x/p) over the x in cube coset k, k = 0, 1, 2.
 
     -1 is a cube mod p, so x and p - x share a coset and P_k is twice the
-    sum of cos(2*pi*x/p) over the x <= (p-1)/2 in coset k.  The rotation
-    z <- z*zeta drifts by about x ulps after x steps, so the sums carry an
-    error below p^2 ulps: 2*bit_length(p) guard bits.
+    sum of cos(2*pi*x/p) over the x <= (p-1)/2 in coset k.  zeta_p is walked
+    in integer fixed point with b = bits + 2*bit_length(p) + 8 fraction bits:
+    (X, Y) <- ((X*c - Y*s) >> b, (X*s + Y*c) >> b), with c, s = cos, sin(2*pi/p)
+    scaled by 2^b and rounded to within 0.51.  One step moves the error
+    vector by at most 0.73 (the rounding of c and s, a scaled rotation of
+    norm <= 0.51*sqrt(2)) plus sqrt(2) (the two truncations), so after x
+    steps |X - 2^b*cos(2*pi*x/p)| <= 2.2*x.  Summed over x <= (p-1)/2 and
+    doubled, the three P_k together carry an error below 0.55*p^2 * 2^-b
+    < 2^-(bits + 8).  The integer sums become mpf values only at the end.
     """
-    with mpmath.workprec(bits + 2 * p.bit_length()):
-        zeta = mpmath.expjpi(mpmath.mpf(2) / p)
-        sums = [mpmath.mpf(0)] * 3
-        z = mpmath.mpc(1)
-        for x in range(1, (p + 1) // 2):
-            z *= zeta
-            sums[coset[x]] += z.real
-        return [2 * s for s in sums]
+    b = bits + 2 * p.bit_length() + 8
+    with mpmath.workprec(b + 16):
+        theta = 2 * mpmath.pi / p
+        c = int(mpmath.nint(mpmath.ldexp(mpmath.cos(theta), b)))
+        s = int(mpmath.nint(mpmath.ldexp(mpmath.sin(theta), b)))
+    x, y = 1 << b, 0
+    sums = [0, 0, 0]
+    for k in memoryview(coset)[1 : (p + 1) // 2]:
+        x, y = (x * c - y * s) >> b, (x * s + y * c) >> b
+        sums[k] += x
+    # Exact: each sum has at most b + bit_length(p) + 1 bits.
+    with mpmath.workprec(b + p.bit_length() + 2):
+        return [mpmath.ldexp(2 * t, -b) for t in sums]
 
 
 def numeric_periods(
@@ -225,13 +244,20 @@ def numeric_periods(
     (mu(f) + 2*Re(omega^-k * G)) / 3 for its Gauss sum G.  By CRT,
     G = prod chi_i^lam_i(f/p_i) * g(chi_i^lam_i), where g(chi_i) =
     P_0 + omega*P_1 + omega^2*P_2 from the coset sums P_k modulo p_i and
-    g(chi_i^2) = conj(g(chi_i)).  So the work is O(sum of p_i), not O(f).
-    Each eta_k is within 2^-(precision_bits + 24).
+    g(chi_i^2) = conj(g(chi_i)).  So the work is O(sum of p_i), not O(f),
+    and PeriodBudgetError is raised before any of it when the sum of the
+    p_i exceeds PERIOD_BUDGET.  Each eta_k is within 2^-(precision_bits + 24).
     """
     fac = factor(f)
     primes = fac.primes()
     if f <= 1 or any(e > 1 for _, e in fac.factors) or any(p % 3 != 1 for p in primes):
         raise ValueError(f"f = {f} is not a product of distinct primes = 1 (mod 3)")
+    terms = sum(primes)
+    if terms > PERIOD_BUDGET:
+        raise PeriodBudgetError(
+            f"the periods of conductor {f} need {terms} terms, "
+            f"over the budget of {PERIOD_BUDGET}"
+        )
     lambdas = [(1,) + r for r in itertools.product((1, 2), repeat=len(primes) - 1)]
     # Callers work at precision_bits + 32.  |g(chi_j)| = sqrt(p_j), so an
     # error in g(chi_i) is magnified by sqrt(f/p_i) in G, which half of

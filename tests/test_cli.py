@@ -201,6 +201,35 @@ def test_verify_runs_one_display_pass(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_numeric_commands_never_call_polyroots(monkeypatch, capsys):
+    # The roots come from exact integer isolation; polyroots is a test reference.
+    import mpmath
+    from simplest_cubic import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mpmath.polyroots called")
+
+    monkeypatch.setattr(mpmath, "polyroots", forbidden)
+    for argv in (["verify", "66"], ["gaussian", "66", "--verify"]):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    capsys.readouterr()
+
+
+def test_period_budget_exit_code(capsys):
+    # f = 7*13*31*50640606623791: the largest prime alone is far over budget,
+    # so the command stops before any O(p) work, with one line and no stdout.
+    from simplest_cubic import cli
+
+    for argv in (["gaussian", "1000000028"], ["analyze", "1000000028", "--format", "json"]):
+        assert cli.main(argv) == cli.EXIT_VERIFY, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == (
+            "error: the periods of conductor 142857151285714411 need "
+            "50640606623842 terms, over the budget of 100000000\n"
+        ), argv
+
+
 def _count_calls(monkeypatch, name: str) -> list:
     """Count the calls of simplest_cubic's function ``name`` under every binding."""
     fn = getattr(sys.modules["simplest_cubic.nib"], name)

@@ -169,6 +169,29 @@ def test_numeric_roots_certified_residual():
                 assert residual < mpmath.mpf(2) ** -200
 
 
+def test_numeric_roots_match_polyroots():
+    # polyroots (complex Durand-Kerner iteration) is the independent reference.
+    samples = [(n, 128) for n in range(-300, 301)]
+    samples += [(n, 256) for n in (10**11, -(10**11), 10**18 + 1)]
+    found = {}
+    for n, bits in samples:
+        roots = numeric_roots(n, bits)
+        with mpmath.workprec(bits + 32 + n.bit_length()):
+            tol = mpmath.mpf(2) ** (8 - bits)
+            reference = mpmath.polyroots([1, -n, -(n + 3), -1], maxsteps=100, extraprec=bits)
+            reference = sorted((mpmath.re(r) for r in reference), reverse=True)
+            assert max(abs(a - b) for a, b in zip(sorted(roots, reverse=True), reference)) < tol, n
+            for i in range(3):  # sigma order, roots[i+1] = -1/(1 + roots[i])
+                err = abs(roots[(i + 1) % 3] * (1 + roots[i]) + 1)
+                assert err < (2 * abs(n) + 8) * tol, n
+        found[n] = roots
+    # X^3*f_n(1/X) = -f_(-n-3)(X): the mirror field has the reciprocal roots.
+    with mpmath.workprec(160):
+        for n in range(-297, 298):
+            for r in found[n]:
+                assert min(abs(r * s - 1) for s in found[-n - 3]) < mpmath.mpf(2) ** -100, n
+
+
 def test_numeric_roots_rejects_low_precision():
     with pytest.raises(ValueError):
         numeric_roots(1, 32)

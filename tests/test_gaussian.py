@@ -200,9 +200,11 @@ def direct_periods(f: int, precision_bits: int) -> list[tuple[str, list[mpmath.m
 
 
 def test_numeric_periods_match_direct_sum():
-    for f in (7, 13, 241, 20011, 91, 1561, 50491, 2821, 4123, 48307):
-        reference = direct_periods(f, 256)
-        for bits in (96, 256):
+    cases = [(f, (96, 256)) for f in (7, 13, 91, 1561, 50491, 2821, 4123, 48307)]
+    cases += [(241, (96, 256, 1024)), (20011, (96, 256, 1024)), (99991, (96,))]
+    for f, precisions in cases:
+        reference = direct_periods(f, max(precisions))
+        for bits in precisions:
             got = numeric_periods(f, bits)
             assert [d for d, _ in got] == [d for d, _ in reference], (f, bits)
             with mpmath.workprec(bits + 64):
