@@ -20,11 +20,9 @@ from .cubic_field import (
 )
 from .eisenstein import EisensteinInt, PairSet, eis_gcd, find_pair, unit_orbit
 from .gaussian import (
-    CorollaryForm,
     GaussianReport,
     NumericVerification,
     PrecisionInsufficientError,
-    corollary_forms,
     numeric_periods,
     numeric_verify,
     numeric_verify_auto,

@@ -125,9 +125,8 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     n = args.n
     if args.format == "json":
-        tame = is_tame(n)
-        record = output_record(n, all_generators(n) if tame else None,
-                               period_identity(n) if tame else None)
+        gens = all_generators(n) if is_tame(n) else None
+        record = output_record(n, gens, None if gens is None else period_identity(n, gens))
         print(json.dumps(record, ensure_ascii=False))
         return EXIT_OK
     record = output_record(n)
@@ -172,9 +171,9 @@ def cmd_nib(args: argparse.Namespace) -> int:
 
 def cmd_gaussian(args: argparse.Namespace) -> int:
     n = args.n
-    rep = period_identity(n)
-    verify = numeric_verify_auto(n, args.precision, display=rep.display) if args.verify else None
     gens = all_generators(n) if args.format == "json" else None
+    rep = period_identity(n, gens)
+    verify = numeric_verify_auto(n, args.precision, display=rep.display) if args.verify else None
     record = output_record(n, gens, rep, verify)
     period, match = record["gaussian"], record["gaussian"]["numeric_match"]
     status = "" if match is None else ("pass" if match["ok"] else "fail")
@@ -214,8 +213,11 @@ def _qualifies(n: int, filt: str) -> bool:
 
 def _table_record(job: tuple[int, str]) -> dict:
     n, fmt = job
-    rep = period_identity(n)
-    return output_record(n, all_generators(n) if fmt == "json" else None, rep)
+    try:
+        gens = all_generators(n) if fmt == "json" else None
+        return output_record(n, gens, period_identity(n, gens))
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"n={n}: {exc}") from exc
 
 
 def _table_cells(record: dict) -> list[str]:
@@ -229,9 +231,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     if lo > hi:
         print(f"error: empty range {lo}..{hi}", file=sys.stderr)
         return EXIT_USAGE
+    if args.jobs < 0:
+        print(f"error: --jobs must be 0 or more, not {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     ns = [n for n in range(lo, hi + 1) if _qualifies(n, args.filter)]
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(ns) or 1))
+    cpus = os.cpu_count() or 1
+    jobs = max(1, min(args.jobs or cpus, cpus, len(ns)))
     work = [(n, args.format) for n in ns]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -253,7 +258,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     gens = all_generators(n)
     reports = [verify_nib(g) for g in gens]
     basis = build_integral_basis(n)
-    numeric = numeric_verify_auto(n, args.precision)
+    numeric = numeric_verify_auto(n, args.precision, display=period_identity(n, gens).display)
     ok = all(r.all_ok for r in reports) and numeric.ok
     print(f"n={n}")
     print(f"generators: {len(gens)}, all checks "
@@ -296,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_n", type=int, required=True, metavar="B")
     p.add_argument("--filter", choices=("tame", "mod27", "delta-ne-f"), default="tame")
     p.add_argument("--jobs", type=int, default=0, metavar="N",
-                   help="worker processes (default: available parallelism)")
+                   help="worker processes, at most the CPU count "
+                   "(default 0: the CPU count)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", parents=[common, precision],

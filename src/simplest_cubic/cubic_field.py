@@ -234,34 +234,39 @@ def _sigma_images(n: int) -> tuple[FieldElement, FieldElement]:
     return s1, s1 * s1
 
 
-def lemma42(r1: Rational, r2: Rational, r3: Rational, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Closed-form symmetric functions of eta = r1*rho + r2*rho' + r3.
+def symmetric_functions(n: int, a0: int, a1: int, m: int) -> tuple[int, int, int]:
+    """Trace, sum of pairwise products and norm of a0*rho + a1*rho' + m, integers.
 
-    Returns (e1, e2, e3) with e1 the trace, e2 the sum of pairwise products
-    and e3 the norm.
+    With q = a0^2 - a0*a1 + a1^2 (Lemma 4.2 of the paper).
     """
-    r1, r2, r3 = Fraction(r1), Fraction(r2), Fraction(r3)
-    q = r1 * r1 - r1 * r2 + r2 * r2
-    e1 = n * (r1 + r2) + 3 * r3
-    e2 = r1 * r2 * n**2 + 2 * (r1 + r2) * r3 * n - q * (n + 3) + 3 * r3**2
+    q = a0 * a0 - a0 * a1 + a1 * a1
+    e1 = n * (a0 + a1) + 3 * m
+    e2 = a0 * a1 * n**2 + 2 * (a0 + a1) * m * n - q * (n + 3) + 3 * m**2
     e3 = (
-        r1 * r2 * r3 * n**2
-        - r1**2 * r2 * n * (n + 3)
-        + (r1 + r2) * r3**2 * n
-        - q * r3 * (n + 3)
-        + r1 * r2 * (r1 - r2) * (n**2 + 3 * n + 6)
-        + r1**3
-        + r2**3
-        + r3**3
-        - 3 * r1**2 * r2
+        a0 * a1 * m * n**2
+        - a0**2 * a1 * n * (n + 3)
+        + (a0 + a1) * m**2 * n
+        - q * m * (n + 3)
+        + a0 * a1 * (a0 - a1) * (n**2 + 3 * n + 6)
+        + a0**3
+        + a1**3
+        + m**3
+        - 3 * a0**2 * a1
     )
     return e1, e2, e3
 
 
-def element_from_rho_rho_prime(n: int, r1: Rational, r2: Rational, r3: Rational) -> FieldElement:
-    """r1*rho + r2*rho' + r3 rewritten over {1, rho, rho^2} via rho' = rho^2-(n+1)rho-2."""
-    r1, r2, r3 = Fraction(r1), Fraction(r2), Fraction(r3)
-    return FieldElement.from_coeffs(n, r3 - 2 * r2, r1 - (n + 1) * r2, r2)
+def lemma42(r1: Rational, r2: Rational, r3: Rational, n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Closed-form symmetric functions of eta = r1*rho + r2*rho' + r3.
+
+    Returns (e1, e2, e3) with e1 the trace, e2 the sum of pairwise products
+    and e3 the norm: ``symmetric_functions`` of d*(r1, r2, r3), d the common
+    denominator, scaled back by d, d^2 and d^3.
+    """
+    r = (Fraction(r1), Fraction(r2), Fraction(r3))
+    d = math.lcm(*(x.denominator for x in r))
+    e1, e2, e3 = symmetric_functions(n, *(x.numerator * (d // x.denominator) for x in r))
+    return Fraction(e1, d), Fraction(e2, d * d), Fraction(e3, d**3)
 
 
 def trace_form_disc(b1: FieldElement, b2: FieldElement, b3: FieldElement) -> Fraction:

@@ -24,16 +24,16 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .arith import factor, legendre3, mobius
+from .arith import factor, mobius
 from .cubic_field import FieldElement, MonicCubic, numeric_roots
 from .invariants import conductor, require_tame
 from .nib import (
     NibGenerator,
     all_generators,
     canonical_pair,
+    closed_form_pair,
     epsilon,
     generator,
-    special_forms,
 )
 
 
@@ -69,18 +69,6 @@ class GaussianReport:
 
 
 @dataclass(frozen=True)
-class CorollaryForm:
-    """Simplified period identity in the square-free cases."""
-
-    kind: str  # "lehmer" (3 not dividing n, Delta square-free) or "h"
-    n: int
-    prime_count: int
-    v: int | None
-    element: FieldElement
-    min_poly: MonicCubic
-
-
-@dataclass(frozen=True)
 class NumericVerification:
     ok: bool
     residual: float
@@ -88,28 +76,27 @@ class NumericVerification:
     subgroup: str | None
 
 
-def _display_generator(n: int) -> NibGenerator:
-    """The generator printed as "the" Gaussian period of L_n."""
-    inv = conductor(n)
-    dec = inv.decomposition
-    t = inv.prime_count
-    mu = 1 if t % 2 == 0 else -1
-    if n % 3 != 0 and dec.e == 1 and dec.c == 1:
-        w = mu * legendre3(n)
-        return generator(n, w, 0)
-    if n % 27 == 12 and dec.e == 1 and dec.c == 3:
-        return generator(n, mu, -mu)
-    return _display_by_matching(n)
+def _display_generator(n: int, gens: list[NibGenerator] | None = None) -> NibGenerator:
+    """The generator printed as "the" Gaussian period of L_n.
+
+    ``gens`` are the six generators when the caller has built them.  In the
+    square-free cases the display is the closed-form generator times
+    (-1)^t, else it is matched numerically within the trio of eps = (-1)^t.
+    """
+    mu = 1 if conductor(n).prime_count % 2 == 0 else -1
+    pair = closed_form_pair(n)
+    if pair is None:
+        trio = [g for g in gens or all_generators(n) if g.epsilon == mu]
+        return _display_by_matching(n, trio)
+    pair = (mu * pair[0], mu * pair[1])
+    built = [g for g in gens or () if g.pair == pair]
+    return built[0] if built else generator(n, *pair)
 
 
-def _display_by_matching(n: int) -> NibGenerator:
+def _display_by_matching(n: int, trio: list[NibGenerator]) -> NibGenerator:
     """The trio member whose value at the sigma^2-positioned root is the
     period of the coset of 1, doubling the precision from 96 bits up to
     1024 until the subgroup and the conjugate are told apart."""
-    inv = conductor(n)
-    t = inv.prime_count
-    mu = 1 if t % 2 == 0 else -1
-    trio = [g for g in all_generators(n) if g.epsilon == mu]
     bits = 96
     while True:
         roots = numeric_roots(n, bits)
@@ -128,12 +115,14 @@ def _display_by_matching(n: int) -> NibGenerator:
         bits *= 2
 
 
-def period_identity(n: int) -> GaussianReport:
+def period_identity(n: int, gens: list[NibGenerator] | None = None) -> GaussianReport:
     """The Gaussian-period identification for tame n.
 
     The report carries the canonical pair, its trace sign eps, the global
     sign (-1)^t * eps, the printed generator (one fixed conjugate of the
-    period orbit) and the period minimal polynomial.
+    period orbit) and the period minimal polynomial.  ``gens`` are the six
+    generators of ``all_generators(n)`` when the caller has them; the
+    printed generator is then taken from them rather than built again.
     """
     require_tame(n)
     inv = conductor(n)
@@ -142,7 +131,7 @@ def period_identity(n: int) -> GaussianReport:
     eps = epsilon(n, *pair)
     mu = 1 if t % 2 == 0 else -1
     sign = mu * eps
-    display = _display_generator(n)
+    display = _display_generator(n, gens)
     if display.epsilon != mu or display.element.trace() != mobius(inv.conductor):
         raise ArithmeticError(f"period trace violation for n={n}; arithmetic bug")
     return GaussianReport(
@@ -154,31 +143,6 @@ def period_identity(n: int) -> GaussianReport:
         display=display,
         min_poly=display.min_poly,
     )
-
-
-def corollary_forms(n: int) -> CorollaryForm | None:
-    """The simplified square-free identities, when their hypotheses hold.
-
-    3 not dividing n and Delta_n square-free: eta = (-1)^t*(n/3)*(v_n + rho),
-    v_n = ((n/3) - n)/3, minimal polynomial f_+/- or g_+/- by the parity
-    of t.  n = 12 (mod 27) and Delta_n/27 square-free: eta =
-    (-1)^(t+1)/9*(rho^2 - (n+2)*rho - 5) with h_+/-.
-    """
-    t = conductor(n).prime_count
-    mu = 1 if t % 2 == 0 else -1
-    sf = special_forms(n)
-    if sf is None:
-        return None
-    poly = sf.poly_plus if mu == 1 else sf.poly_minus
-    if sf.kind in ("f", "g"):
-        w = mu * legendre3(n)
-        v = (legendre3(n) - n) // 3
-        elem = FieldElement.from_coeffs(n, w * v, w, 0)
-        return CorollaryForm("lehmer", n, t, v, elem, poly)
-    # eta = (-1)^(t+1)/9 * (rho^2 - (n+2)*rho - 5)
-    w = -mu
-    elem = FieldElement(n, (-5 * w, -(n + 2) * w, w), 9)
-    return CorollaryForm("h", n, t, None, elem, poly)
 
 
 def _primitive_root(p: int) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import PairSet, a_element, find_pair, sigma_pair, EisensteinInt
-from .cubic_field import FieldElement, MonicCubic, trace_form_disc
+from .cubic_field import FieldElement, MonicCubic, symmetric_functions, trace_form_disc
 from .invariants import conductor, require_tame
 
 
@@ -96,35 +96,17 @@ def _element(n: int, a0: int, a1: int, m: int, e: int, c: int) -> FieldElement:
     return FieldElement(n, (m - 2 * a1, a0 - a1 * n - a1, a1), e * c * c)
 
 
-def min_poly_closed(n: int, a0: int, a1: int, m: int, eps: int, sign: int) -> MonicCubic:
-    """Closed-form minimal polynomial F_sign of sign*alpha.
+def min_poly_closed(n: int, a0: int, a1: int, m: int, eps: int) -> MonicCubic:
+    """Closed-form minimal polynomial of alpha = (a0*rho + a1*rho' + m) / (e*c^2).
 
-    F_+ (sign=+1) and F_- (sign=-1) share the linear coefficient
-    (a0*a1*n^2 + 2*(a0+a1)*m*n - e*c*(n+3) + 3*m^2) / (e^2*c^4); the X^2 and
-    constant coefficients flip sign with the generator.
+    Its X^2 coefficient is -eps; the other two are ``symmetric_functions``
+    (Lemma 4.2) scaled by (e*c^2)^2 and (e*c^2)^3.  -alpha has the
+    ``reflected()`` polynomial.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     dec = conductor(n).decomposition
-    e, c = dec.e, dec.c
-    ec = e * c
-    lin = Fraction(
-        a0 * a1 * n**2 + 2 * (a0 + a1) * m * n - ec * (n + 3) + 3 * m**2,
-        e**2 * c**4,
-    )
-    const = Fraction(
-        a0 * a1 * m * n**2
-        - a0**2 * a1 * n * (n + 3)
-        + (a0 + a1) * m**2 * n
-        - ec * m * (n + 3)
-        + a0 * a1 * (a0 - a1) * (n**2 + 3 * n + 6)
-        + a0**3
-        + a1**3
-        + m**3
-        - 3 * a0**2 * a1,
-        e**3 * c**6,
-    )
-    return MonicCubic(Fraction(-sign * eps), lin, -sign * const)
+    d = dec.e * dec.c**2
+    _, e2, e3 = symmetric_functions(n, a0, a1, m)
+    return MonicCubic(Fraction(-eps), Fraction(e2, d * d), Fraction(-e3, d**3))
 
 
 def verify_nib(g: NibGenerator) -> VerificationReport:
@@ -140,7 +122,7 @@ def verify_nib(g: NibGenerator) -> VerificationReport:
     integral_ok = direct.is_integral()
     disc_ok = trace_form_disc(*conj) == inv.discriminant
     try:
-        closed = min_poly_closed(g.n, g.a0, g.a1, g.m, g.epsilon, 1)
+        closed = min_poly_closed(g.n, g.a0, g.a1, g.m, g.epsilon)
         closed_form_ok = closed == direct and g.min_poly == direct and g.element == elem
     except (ValueError, ArithmeticError):
         closed_form_ok = False
@@ -197,7 +179,7 @@ def all_generators(n: int) -> list[NibGenerator]:
         poly = g0.min_poly if k < 2 else g0.min_poly.reflected()
         eps = epsilon(n, *pair)
         m = m_value(n, *pair, eps)
-        if _element(n, *pair, m, dec.e, dec.c) != elem or min_poly_closed(n, *pair, m, eps, 1) != poly:
+        if _element(n, *pair, m, dec.e, dec.c) != elem or min_poly_closed(n, *pair, m, eps) != poly:
             raise ArithmeticError(f"pair {pair} does not give the conjugate {elem!r} for n={n}")
         out.append(NibGenerator(n, *pair, eps, m, elem, poly))
     return out
@@ -219,6 +201,21 @@ class SpecialForm:
     poly_minus: MonicCubic
 
 
+def closed_form_pair(n: int) -> tuple[int, int] | None:
+    """The pair of the square-free closed-form generator, when one applies.
+
+    (1, 0) for n = 1 (mod 3) and (-1, 0) for n = 2 (mod 3) when Delta_n is
+    square-free; (1, -1) for n = 12 (mod 27) when Delta_n/27 is square-free.
+    Its generator has eps = +1 (see ``special_forms``).
+    """
+    dec = conductor(n).decomposition
+    if n % 3 != 0 and dec.e == 1 and dec.c == 1:
+        return (1, 0) if n % 3 == 1 else (-1, 0)
+    if n % 27 == 12 and dec.e == 1 and dec.c == 3:
+        return (1, -1)
+    return None
+
+
 def special_forms(n: int) -> SpecialForm | None:
     """The f/g/h closed forms when the square-free hypotheses hold, else None.
 
@@ -226,26 +223,21 @@ def special_forms(n: int) -> SpecialForm | None:
     g: n = 2 (mod 3), Delta_n square-free, generator (1+n)/3 - rho.
     h: n = 12 (mod 27), Delta_n/27 square-free, generator (rho - rho' + 3)/9.
     """
-    dec = conductor(n).decomposition
-    square_free = dec.e == 1 and dec.c == 1
-    if n % 3 == 1 and square_free:
-        m = (1 - n) // 3
-        elem = FieldElement(n, (m, 1, 0))
-        plus = MonicCubic.of(
+    pair = closed_form_pair(n)
+    if pair is None:
+        return None
+    if pair == (1, 0):
+        kind, plus = "f", MonicCubic.of(
             -1, Fraction(-(n**2 + 3 * n + 8), 3), Fraction(-(2 * n**3 + 6 * n**2 + 18 * n + 1), 27)
         )
-        return SpecialForm("f", elem, (1, 0), m, plus, plus.reflected())
-    if n % 3 == 2 and square_free:
-        m = (1 + n) // 3
-        elem = FieldElement(n, (m, -1, 0))
-        plus = MonicCubic.of(
+    elif pair == (-1, 0):
+        kind, plus = "g", MonicCubic.of(
             -1, Fraction(-(n**2 + 3 * n + 8), 3), Fraction(2 * n**3 + 12 * n**2 + 36 * n + 53, 27)
         )
-        return SpecialForm("g", elem, (-1, 0), m, plus, plus.reflected())
-    if n % 27 == 12 and dec.e == 1 and dec.c == 3:
-        elem = _element(n, 1, -1, 3, 1, 3)
-        plus = MonicCubic.of(
+    else:
+        kind, plus = "h", MonicCubic.of(
             -1, Fraction(-(n**2 + 3 * n - 18), 81), Fraction(4 * n**2 + 12 * n + 9, 729)
         )
-        return SpecialForm("h", elem, (1, -1), m=3, poly_plus=plus, poly_minus=plus.reflected())
-    return None
+    dec = conductor(n).decomposition
+    m = m_value(n, *pair, 1)
+    return SpecialForm(kind, _element(n, *pair, m, dec.e, dec.c), pair, m, plus, plus.reflected())

@@ -24,7 +24,7 @@ from golden_data import (
     poly_of,
 )
 from simplest_cubic.arith import legendre3
-from simplest_cubic.cubic_field import FieldElement, element_from_rho_rho_prime, lemma42, trace_form_disc
+from simplest_cubic.cubic_field import FieldElement, lemma42, trace_form_disc
 from simplest_cubic.gaussian import numeric_verify, period_identity
 from simplest_cubic.integral_basis import build as build_integral_basis
 from simplest_cubic.invariants import conductor, decompose, is_tame
@@ -157,7 +157,7 @@ def test_criteria_4_and_5_disc_oracle_and_closed_forms():
             assert abs(g.element.trace()) == 1
             conj = g.element.conjugates()
             assert trace_form_disc(*conj) == disc, n
-            closed = min_poly_closed(n, g.a0, g.a1, g.m, g.epsilon, 1)
+            closed = min_poly_closed(n, g.a0, g.a1, g.m, g.epsilon)
             assert closed == g.min_poly, n
             polys.add((g.min_poly.p2, g.min_poly.p1, g.min_poly.p0))
         assert len(gens) == 6 and len(polys) == 2
@@ -209,7 +209,8 @@ def test_criterion_7_property_suites():
         r1, r2, r3 = (
             Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)
         )
-        eta = element_from_rho_rho_prime(n, r1, r2, r3)
+        rho = FieldElement.rho(n)
+        eta = rho * r1 + rho.sigma() * r2 + FieldElement.rational(n, r3)
         a, b, c = eta.conjugates()
         e1 = (a + b + c).as_rational()
         e2 = (a * b + b * c + c * a).as_rational()

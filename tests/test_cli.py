@@ -72,6 +72,42 @@ def test_table_jobs_byte_stability():
         assert other.stdout == base.stdout
 
 
+def test_table_jobs_capped_at_cpu_count(monkeypatch, capsys):
+    # A recording pool that runs in-process: no worker process is started.
+    from simplest_cubic import cli
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    argv = ["table", "--from", "1", "--to", "40", "--jobs"]
+    assert cli.main(argv + ["1"]) == cli.EXIT_OK
+    serial = capsys.readouterr().out
+    assert pools == []
+    for jobs, workers in (("3000", 3), ("0", 3), ("2", 2)):
+        pools.clear()
+        assert cli.main(argv + [jobs]) == cli.EXIT_OK
+        assert capsys.readouterr().out == serial, jobs
+        assert pools == [workers], jobs
+    pools.clear()
+    assert cli.main(argv + ["-1"]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --jobs must be 0 or more, not -1\n")
+    assert pools == []
+
+
 def test_table_empty_range_usage_error():
     out = run_cli("table", "--from", "5", "--to", "4")
     assert out.returncode == 2
@@ -218,14 +254,19 @@ def test_numeric_commands_never_call_polyroots(monkeypatch, capsys):
 def test_period_budget_exit_code(capsys):
     # f = 7*13*31*50640606623791: the largest prime alone is far over budget,
     # so the command stops before any O(p) work, with one line and no stdout.
+    # A table names the row that failed.
     from simplest_cubic import cli
 
-    for argv in (["gaussian", "1000000028"], ["analyze", "1000000028", "--format", "json"]):
+    for argv, prefix in (
+        (["gaussian", "1000000028"], ""),
+        (["analyze", "1000000028", "--format", "json"], ""),
+        (["table", "--from", "1000000028", "--to", "1000000028", "--jobs", "1"], "n=1000000028: "),
+    ):
         assert cli.main(argv) == cli.EXIT_VERIFY, argv
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err == (
-            "error: the periods of conductor 142857151285714411 need "
+            f"error: {prefix}the periods of conductor 142857151285714411 need "
             "50640606623842 terms, over the budget of 100000000\n"
         ), argv
 
@@ -257,10 +298,10 @@ def test_each_command_builds_the_generators_once(monkeypatch, capsys):
         ("nib", "66"): (1, 1),
         ("nib", "66", "--format", "json"): (1, 1),
         ("nib", "66", "--format", "csv"): (1, 1),
-        ("gaussian", "66", "--format", "json"): (2, 2),
-        ("analyze", "286", "--format", "json"): (2, 2),
-        ("table", "--from", "66", "--to", "66", "--format", "json"): (2, 2),
-        ("verify", "66"): (2, 8),  # its own verify_nib on all six
+        ("gaussian", "66", "--format", "json"): (1, 1),
+        ("analyze", "286", "--format", "json"): (1, 1),
+        ("table", "--from", "66", "--to", "66", "--format", "json"): (1, 1),
+        ("verify", "66"): (1, 7),  # its own verify_nib on all six
     }
     for argv, counts in expected.items():
         gens.clear()

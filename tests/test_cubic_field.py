@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from simplest_cubic.cubic_field import (
     FieldElement,
     MonicCubic,
-    element_from_rho_rho_prime,
     lemma42,
     numeric_roots,
     shanks_polynomial,
@@ -70,11 +69,18 @@ def test_rho_prime_identity():
         assert prod.as_rational() == -1
 
 
+def rho_rho_prime(n, r1, r2, r3):
+    """r1*rho + r2*rho' + r3 with rho' = sigma(rho), by field arithmetic."""
+    rho = FieldElement.rho(n)
+    return rho * Fraction(r1) + rho.sigma() * Fraction(r2) + FieldElement.rational(n, r3)
+
+
 def test_lemma42_examples():
     e1, e2, e3 = lemma42(1, 0, 0, 17)
     assert (e1, e2, e3) == (17, -20, 1)
     n = 12
-    eta = element_from_rho_rho_prime(n, 1, -1, 3)
+    eta = rho_rho_prime(n, 1, -1, 3)
+    assert eta == FieldElement(n, (5, 14, -1))  # rho - rho' + 3
     mp = eta.min_poly()
     l1, l2, l3 = lemma42(1, -1, 3, n)
     assert (mp.p2, mp.p1, mp.p0) == (-l1, l2, -l3)
@@ -88,7 +94,7 @@ def test_lemma42_examples():
 )
 @settings(max_examples=150, deadline=None)
 def test_lemma42_matches_conjugates(n, r1, r2, r3):
-    eta = element_from_rho_rho_prime(n, r1, r2, r3)
+    eta = rho_rho_prime(n, r1, r2, r3)
     a, b, c = eta.conjugates()
     e1 = (a + b + c).as_rational()
     e2 = (a * b + b * c + c * a).as_rational()

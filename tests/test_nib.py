@@ -86,12 +86,12 @@ def test_trio_structure():
 
 
 def test_min_poly_closed_examples():
-    mp = min_poly_closed(286, 2, 3, -493, -1, 1)
+    mp = min_poly_closed(286, 2, 3, -493, -1)
     assert (mp.p2, mp.p1, mp.p0) == (1, -80, 125)
-    mp = min_poly_closed(12, 1, -1, 3, 1, -1)
+    mp = min_poly_closed(12, 1, -1, 3, 1).reflected()
     assert (mp.p2, mp.p1, mp.p0) == (1, -2, -1)
     g = generator(5, 1, 3)
-    assert min_poly_closed(5, 1, 3, -9, -1, 1) == g.min_poly
+    assert min_poly_closed(5, 1, 3, -9, -1) == g.min_poly
 
 
 def test_min_poly_closed_equals_direct_for_all_pairs():
@@ -99,10 +99,9 @@ def test_min_poly_closed_equals_direct_for_all_pairs():
         if not is_tame(n):
             continue
         for g in all_generators(n):
-            closed = min_poly_closed(n, g.a0, g.a1, g.m, g.epsilon, 1)
+            closed = min_poly_closed(n, g.a0, g.a1, g.m, g.epsilon)
             assert closed == g.min_poly
-            neg = min_poly_closed(n, g.a0, g.a1, g.m, g.epsilon, -1)
-            assert neg == g.min_poly.reflected()
+            assert closed.reflected() == (-g.element).min_poly()
 
 
 def test_disc_oracle_per_generator():
@@ -136,7 +135,7 @@ def test_special_forms_match_general_pipeline():
         assert g.element == sf.element
         assert g.m == sf.m
         assert g.epsilon == 1  # all three corollary cases normalize to eps = +1
-        assert sf.poly_plus == min_poly_closed(n, a0, a1, sf.m, 1, 1)
+        assert sf.poly_plus == min_poly_closed(n, a0, a1, sf.m, 1)
         assert sf.poly_plus == g.element.min_poly()
         assert sf.poly_minus == (-g.element).min_poly()
 
