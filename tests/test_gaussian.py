@@ -31,14 +31,6 @@ def test_period_identity_examples():
     reference = element_of(66, (1, 117, 7, -464, -317))
     mine = rep.period_element
     assert mine in (reference, reference.sigma(), reference.sigma().sigma())
-    # 286 and 66 have no closed form; 1 (Lehmer, t odd) and 39 (h) do
-    assert special_forms(286) is None and special_forms(66) is None
-    assert special_forms(1).kind in ("f", "g")
-    rep = period_identity(1)
-    assert rep.period_element.coeffs == (0, -1, 0)  # eta = -rho
-    assert rep.min_poly == poly_of((1, -4, 1))
-    assert special_forms(39).kind == "h"
-    assert period_identity(39).min_poly == poly_of((1, -20, -9))
     # the six generators, when given, give the same report
     for n in (1, 39, 66, 286):
         assert period_identity(n, all_generators(n)) == period_identity(n), n
@@ -79,11 +71,23 @@ def test_golden_periods_up_to_conjugation():
                 assert rep.period_element == reference, n
 
 
-def test_period_identity_square_free_closed_forms():
+def test_corollary_forms_examples():
+    # 286 and 66 have no closed form; 1 (Lehmer, t odd) and 39 (h) do
+    assert special_forms(286) is None and special_forms(66) is None
+    assert special_forms(1).kind in ("f", "g")
+    assert (legendre3(1) - 1) // 3 == 0  # v_1
+    rep = period_identity(1)
+    assert rep.period_element.coeffs == (0, -1, 0)  # eta = -rho
+    assert rep.min_poly == poly_of((1, -4, 1))
+    assert special_forms(39).kind == "h"
+    assert period_identity(39).min_poly == poly_of((1, -20, -9))
+
+
+def test_corollary_forms_agree_with_period_identity():
     # 3 not dividing n and Delta_n square-free (Lehmer): eta = (-1)^t*(n/3)*(v_n + rho),
-    # v_n = ((n/3) - n)/3, so +-eta = rho + v_n (eq. 1.4).  n = 12 (mod 27) and
-    # Delta_n/27 square-free: eta = (-1)^(t+1)/9*(rho^2 - (n+2)*rho - 5).  The
-    # minimal polynomial is the f/g/h polynomial of sign (-1)^t.
+    # v_n = ((n/3) - n)/3.  n = 12 (mod 27) and Delta_n/27 square-free:
+    # eta = (-1)^(t+1)/9*(rho^2 - (n+2)*rho - 5).  The minimal polynomial is the
+    # f/g/h polynomial of sign (-1)^t.
     for n in range(-150, 150):
         sf = special_forms(n)
         if sf is None:
@@ -92,14 +96,22 @@ def test_period_identity_square_free_closed_forms():
         mu = 1 if rep.prime_count % 2 == 0 else -1
         if sf.kind in ("f", "g"):
             v = (legendre3(n) - n) // 3
-            base = FieldElement.from_coeffs(n, v, 1, 0)
-            assert rep.period_element in (base, -base), n
-            expected = base * (mu * legendre3(n))
+            expected = FieldElement.from_coeffs(n, v, 1, 0) * (mu * legendre3(n))
         else:
             expected = FieldElement(n, (5, n + 2, -1), 9) * mu
         assert rep.period_element == expected, n
         assert rep.min_poly == (sf.poly_plus if mu == 1 else sf.poly_minus), n
-    assert (legendre3(1) - 1) // 3 == 0  # v_1
+
+
+def test_lehmer_special_case_eq_1_4():
+    # Delta square-free: +-eta_0 = rho + ((n/3) - n)/3
+    lehmer = [n for n in range(-150, 150)
+              if (sf := special_forms(n)) is not None and sf.kind in ("f", "g")]
+    assert {1, 2, -1, 7, 13} <= set(lehmer)
+    for n in lehmer:
+        v = (legendre3(n) - n) // 3
+        base = FieldElement.from_coeffs(n, v, 1, 0)
+        assert period_identity(n).period_element in (base, -base), n
 
 
 def test_numeric_periods_f7_and_f13():
