@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default 0: the CPU count)")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", parents=[common, precision],
+    p = sub.add_parser("verify", parents=[precision],
                        help="full verification suite for one n")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_verify)

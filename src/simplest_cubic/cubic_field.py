@@ -45,12 +45,6 @@ class MonicCubic:
     def __call__(self, x):
         return ((x + self.p2) * x + self.p1) * x + self.p0
 
-    def discriminant(self) -> Fraction:
-        b, c, d = self.p2, self.p1, self.p0
-        return (
-            18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
-        )
-
 
 def shanks_polynomial(n: int) -> MonicCubic:
     """The defining cubic X^3 - n*X^2 - (n+3)*X - 1."""

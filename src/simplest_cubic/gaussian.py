@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .arith import factor, mobius
+from .arith import factor
 from .cubic_field import FieldElement, MonicCubic, numeric_roots
 from .invariants import conductor, require_tame
 from .nib import (
@@ -46,7 +46,7 @@ PERIOD_BUDGET = 10**8
 
 
 class PrecisionInsufficientError(ArithmeticError):
-    """The working precision cannot separate or certify the period data."""
+    """The oracle's working precision cannot certify the period data."""
 
 
 class PeriodBudgetError(ArithmeticError):
@@ -76,14 +76,13 @@ class NumericVerification:
     subgroup: str | None
 
 
-def _display_generator(n: int, gens: list[NibGenerator] | None = None) -> NibGenerator:
-    """The generator printed as "the" Gaussian period of L_n.
+def _display_generator(n: int, mu: int, gens: list[NibGenerator] | None) -> NibGenerator:
+    """The generator printed as "the" Gaussian period of L_n, mu = (-1)^t.
 
     ``gens`` are the six generators when the caller has built them.  In the
-    square-free cases the display is the closed-form generator times
-    (-1)^t, else it is matched numerically within the trio of eps = (-1)^t.
+    square-free cases the display is the closed-form generator times mu,
+    else it is matched numerically within the trio of eps = mu.
     """
-    mu = 1 if conductor(n).prime_count % 2 == 0 else -1
     pair = closed_form_pair(n)
     if pair is None:
         trio = [g for g in gens or all_generators(n) if g.epsilon == mu]
@@ -95,24 +94,30 @@ def _display_generator(n: int, gens: list[NibGenerator] | None = None) -> NibGen
 
 def _display_by_matching(n: int, trio: list[NibGenerator]) -> NibGenerator:
     """The trio member whose value at the sigma^2-positioned root is the
-    period of the coset of 1, doubling the precision from 96 bits up to
-    1024 until the subgroup and the conjugate are told apart."""
-    bits = 96
-    while True:
-        roots = numeric_roots(n, bits)
-        with mpmath.workprec(bits + 32):
-            subgroup = _matched_subgroup(n, trio, roots, bits)
-            if subgroup is not None:
-                eta0 = subgroup[1][0]
-                tol = mpmath.mpf(2) ** (-bits // 3)
-                hits = [g for g in trio if abs(g.element.eval_at(roots[2]) - eta0) < tol]
-                if len(hits) == 1:
-                    return hits[0]
-        if bits >= 1024:
-            raise PrecisionInsufficientError(
-                f"cannot identify the period conjugate for n={n} at {bits} bits"
-            )
-        bits *= 2
+    period of the coset of 1, in one pass at bits = max(96, 3*L(f)//2,
+    L(n) + 16), L the bit length.
+
+    |eta| <= sqrt(f), so e3 < 2^(bits + 1/2) and the period polynomials
+    rounded at bits + 32 are exact: the subgroup is the one whose polynomial
+    is the trio's (distinct subgroups fix distinct fields).  With y = 3*eta
+    - mu, the discriminant 81*f^2*y_pi^2 >= 81*f^2 and |y_i| <= 2*sqrt(f)
+    part the eta by >= 3/16.  A member's derivative in rho is at most
+    1.16*(|n| + 6) at the roots, which are within 2^(8 - bits), so its value
+    moves by at most 0.032; its terms are below 36*2^(2*L(n)), evaluated at
+    bits + 32 + 2*L(n).  So exactly one member lies within 3/32 of eta_0.
+    """
+    f = conductor(n).conductor
+    bits = max(96, 3 * f.bit_length() // 2, n.bit_length() + 16)
+    roots = numeric_roots(n, bits)
+    want = [int(c) for c in trio[0].min_poly.coefficients()[1:]]
+    for _, periods, rounded, _ in _period_polynomials(f, bits):
+        if rounded == want:
+            with mpmath.workprec(bits + 32 + 2 * n.bit_length()):
+                gap = mpmath.mpf(3) / 32
+                hits = [g for g in trio if abs(g.element.eval_at(roots[2]) - periods[0]) < gap]
+            if len(hits) == 1:
+                return hits[0]
+    raise ArithmeticError(f"cannot identify the period conjugate for n={n} at {bits} bits")
 
 
 def period_identity(n: int, gens: list[NibGenerator] | None = None) -> GaussianReport:
@@ -122,23 +127,25 @@ def period_identity(n: int, gens: list[NibGenerator] | None = None) -> GaussianR
     sign (-1)^t * eps, the printed generator (one fixed conjugate of the
     period orbit) and the period minimal polynomial.  ``gens`` are the six
     generators of ``all_generators(n)`` when the caller has them; the
-    printed generator is then taken from them rather than built again.
+    canonical pair, eps and the printed generator are then read off them
+    rather than built again.
     """
     require_tame(n)
-    inv = conductor(n)
-    t = inv.prime_count
-    pair = canonical_pair(n).canonical
-    eps = epsilon(n, *pair)
-    mu = 1 if t % 2 == 0 else -1
-    sign = mu * eps
-    display = _display_generator(n, gens)
-    if display.epsilon != mu or display.element.trace() != mobius(inv.conductor):
+    if gens is None:
+        pair = canonical_pair(n).canonical
+        eps = epsilon(n, *pair)
+    else:
+        pair, eps = gens[0].pair, gens[0].epsilon
+    t = conductor(n).prime_count
+    mu = 1 if t % 2 == 0 else -1  # mu(f): the tame conductor is square-free
+    display = _display_generator(n, mu, gens)
+    if display.epsilon != mu or display.element.trace() != mu:
         raise ArithmeticError(f"period trace violation for n={n}; arithmetic bug")
     return GaussianReport(
         n=n,
         prime_count=t,
         epsilon=eps,
-        sign=sign,
+        sign=mu * eps,
         canonical=pair,
         display=display,
         min_poly=display.min_poly,
@@ -247,6 +254,28 @@ def numeric_periods(
     return out
 
 
+def _period_polynomials(f: int, bits: int) -> list[tuple[str, list, list[int], mpmath.mpf]]:
+    """(description, periods, rounded coefficients, residual) per subgroup:
+    the X^2, X, 1 coefficients of the cubic with the periods as roots,
+    rounded from symmetric functions at bits + 32, and the largest distance
+    rounded away."""
+    out = []
+    with mpmath.workprec(bits + 32):
+        for desc, periods in numeric_periods(f, bits):
+            e1 = periods[0] + periods[1] + periods[2]
+            e2 = (
+                periods[0] * periods[1]
+                + periods[1] * periods[2]
+                + periods[2] * periods[0]
+            )
+            e3 = periods[0] * periods[1] * periods[2]
+            approx = [-e1, e2, -e3]
+            rounded = [int(mpmath.nint(x)) for x in approx]
+            residual = max(abs(x - r) for x, r in zip(approx, rounded))
+            out.append((desc, periods, rounded, residual))
+    return out
+
+
 def numeric_verify(
     n: int, precision_bits: int = 256, display: NibGenerator | None = None
 ) -> NumericVerification:
@@ -262,14 +291,14 @@ def numeric_verify(
     """
     require_tame(n)
     inv = conductor(n)
-    f = inv.conductor
     if display is None:
-        display = _display_generator(n)
-    predicted = display.min_poly.coefficients()
+        display = period_identity(n).display
+    predicted = [int(c) for c in display.min_poly.coefficients()[1:]]
     dec = inv.decomposition
     ec2 = dec.e * dec.c**2
     a0, a1, m = display.a0, display.a1, display.m
     roots = numeric_roots(n, precision_bits)
+    polys = _period_polynomials(inv.conductor, precision_bits)
     with mpmath.workprec(precision_bits + 32):
         tol = mpmath.mpf(2) ** (-(precision_bits // 2))
         want = [
@@ -279,30 +308,15 @@ def numeric_verify(
         closest_any = mpmath.inf
         matched: str | None = None
         round_ok = False
-        for desc, periods in numeric_periods(f, precision_bits):
-            e1 = periods[0] + periods[1] + periods[2]
-            e2 = (
-                periods[0] * periods[1]
-                + periods[1] * periods[2]
-                + periods[2] * periods[0]
-            )
-            e3 = periods[0] * periods[1] * periods[2]
-            approx = [-e1, e2, -e3]
-            rounded = [int(mpmath.nint(x)) for x in approx]
-            residual = max(abs(x - r) for x, r in zip(approx, rounded))
+        for desc, periods, rounded, residual in polys:
             closest_any = min(closest_any, residual)
-            if rounded != [int(c) for c in predicted[1:]]:
+            if rounded != predicted:
                 continue
             round_ok = True
-            if residual < best_residual:
-                best_residual = residual
+            best_residual = min(best_residual, residual)
             if residual >= tol:
                 continue
-            sorted_want = sorted(want)
-            sorted_periods = sorted(periods)
-            value_err = max(
-                abs(a - b) for a, b in zip(sorted_want, sorted_periods)
-            )
+            value_err = max(abs(a - b) for a, b in zip(sorted(want), sorted(periods)))
             if value_err < tol:
                 matched = desc
                 best_residual = max(residual, value_err)
@@ -334,7 +348,7 @@ def numeric_verify_auto(
     """numeric_verify with the doubling retry policy, capped at PRECISION_CAP bits."""
     require_tame(n)
     if display is None:
-        display = _display_generator(n)
+        display = period_identity(n).display
     bits = precision_bits
     while True:
         try:
@@ -344,17 +358,3 @@ def numeric_verify_auto(
                 raise
             bits *= 2
 
-
-def _matched_subgroup(
-    n: int, trio: list[NibGenerator], roots, bits: int
-) -> tuple[str, list[mpmath.mpf]] | None:
-    """The subgroup whose period triple equals the generator value set."""
-    inv = conductor(n)
-    with mpmath.workprec(bits + 32):
-        tol = mpmath.mpf(2) ** (-bits // 3)
-        vals = sorted(g.element.eval_at(roots[0]) for g in trio)
-        for desc, periods in numeric_periods(inv.conductor, bits):
-            err = max(abs(a - b) for a, b in zip(vals, sorted(periods)))
-            if err < tol:
-                return desc, periods
-    return None

@@ -9,9 +9,10 @@ the element
 is a generator of a normal integral basis, where eps in {-1, +1} is
 n*(a0+a1) mod 3 if 3 does not divide n and a0 mod 3 if n = 12 (mod 27).
 The six unit-associate pairs give all six generators, +-sigma^k(alpha) for
-one alpha.  ``generator`` verifies alpha against the trace-form discriminant
-oracle and the closed-form minimal polynomial (independent routes);
-``all_generators`` checks the other five against the pair formula.
+one alpha.  ``generator`` takes the closed-form minimal polynomial and
+verifies alpha against the trace-form discriminant oracle and the polynomial
+of its exact conjugates (independent routes); ``all_generators`` checks the
+other five against the pair formula.
 """
 
 from __future__ import annotations
@@ -135,15 +136,14 @@ def generator(n: int, a0: int, a1: int) -> NibGenerator:
     dec = conductor(n).decomposition
     eps = epsilon(n, a0, a1)
     m = m_value(n, a0, a1, eps)
-    elem = _element(n, a0, a1, m, dec.e, dec.c)
     g = NibGenerator(
         n=n,
         a0=a0,
         a1=a1,
         epsilon=eps,
         m=m,
-        element=elem,
-        min_poly=elem.min_poly(),
+        element=_element(n, a0, a1, m, dec.e, dec.c),
+        min_poly=min_poly_closed(n, a0, a1, m, eps),
     )
     report = verify_nib(g)
     if not report.all_ok:

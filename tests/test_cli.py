@@ -189,10 +189,16 @@ def test_verify_subcommand():
 
 
 def test_precision_cap_exit_code(monkeypatch, capsys):
-    # No subgroup ever matches, so the display search doubles to its cap.
+    # Periods shifted by 1 match no subgroup polynomial, so the one display
+    # pass cannot identify the printed conjugate: an arithmetic failure.
     from simplest_cubic import cli, gaussian
 
-    monkeypatch.setattr(gaussian, "_matched_subgroup", lambda *args: None)
+    real = gaussian.numeric_periods
+
+    def shifted(f, precision_bits=256):
+        return [(desc, [eta + 1 for eta in etas]) for desc, etas in real(f, precision_bits)]
+
+    monkeypatch.setattr(gaussian, "numeric_periods", shifted)
     assert cli.main(["gaussian", "66"]) == cli.EXIT_VERIFY
     err = capsys.readouterr().err
     assert err.startswith("error: cannot identify the period conjugate for n=66")
@@ -233,6 +239,11 @@ def test_verify_runs_one_display_pass(monkeypatch, capsys):
         assert passes == [96, 256], argv
     passes.clear()
     assert cli.main(["table", "--from", "66", "--to", "66", "--format", "json"]) == 0
+    assert passes == [96]
+    # f = 7*571*13177*142357*844489 (63 bits): still one pass at 96 bits.
+    passes.clear()
+    n = 2527734792245593187
+    assert gaussian.period_identity(n).display.pair == (-1646, -2103)
     assert passes == [96]
     capsys.readouterr()
 
@@ -316,6 +327,9 @@ def test_precision_only_on_numeric_commands():
         out = run_cli(*argv, "--precision", "128")
         assert out.returncode == 2, argv
         assert "unrecognized arguments: --precision" in out.stderr
+    out = run_cli("verify", "66", "--format", "json")
+    assert out.returncode == 2
+    assert "unrecognized arguments: --format" in out.stderr
     out = run_cli("gaussian", "12", "--verify", "--precision", "128")
     assert out.returncode == 0
     assert "verify=pass" in out.stdout and "precision=128" in out.stdout

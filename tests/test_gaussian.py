@@ -248,10 +248,15 @@ def test_period_polynomials_exact():
             for c, pi in zip(lam, pis[1:]):
                 prod = prod * (pi if c == 1 else pi.conj())
             exact.add((0, -3 * f, -f * (2 * prod.x - prod.y)))  # 2*Re(x + y*zeta)
+            # Its discriminant 108f^3 - 27(f*(2x - y))^2 is 81*f^2*y^2 >= 81*f^2.
+            assert 108 * f**3 - 27 * (f * (2 * prod.x - prod.y)) ** 2 == 81 * f**2 * prod.y**2
+            assert prod.y != 0
         numeric = set()
         mu = mobius(f)
         with mpmath.workprec(160):
             for _, etas in numeric_periods(f, 128):
+                # The gap the printed period's pick relies on.
+                assert min(abs(a - b) for a, b in itertools.combinations(etas, 2)) >= 3 / 16
                 y = [3 * eta - mu for eta in etas]
                 approx = [-(y[0] + y[1] + y[2]),
                           y[0] * y[1] + y[1] * y[2] + y[2] * y[0],
