@@ -5,9 +5,6 @@ from .arith import (
     Factorization,
     cube_free_split,
     factor,
-    legendre3,
-    mobius,
-    mod_inverse,
     square_free_split,
 )
 from .cubic_field import (
@@ -15,10 +12,9 @@ from .cubic_field import (
     MonicCubic,
     lemma42,
     numeric_roots,
-    shanks_polynomial,
     trace_form_disc,
 )
-from .eisenstein import EisensteinInt, PairSet, eis_gcd, find_pair, unit_orbit
+from .eisenstein import EisensteinInt, eis_gcd, find_pair
 from .gaussian import (
     GaussianReport,
     NumericVerification,

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, cube/square-free splits, Möbius.
+"""Exact integer arithmetic: factorization and cube/square-free splits.
 
 Everything here works on arbitrary-precision Python ints and is fully
 deterministic, so factorizations can be used in golden tests.
@@ -129,9 +129,6 @@ class Factorization:
         if prod != self.value:
             raise ValueError(f"factors do not multiply back to {self.value}")
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
@@ -199,30 +196,3 @@ def square_free_split(b: int) -> tuple[int, int]:
             d *= p
     return d, e
 
-
-def mobius(n: int) -> int:
-    """Möbius function: (-1)^k on square-free n with k prime factors, else 0."""
-    if n < 1:
-        raise ValueError(f"mobius needs n >= 1, got {n}")
-    fac = factor(n)
-    if any(e > 1 for _, e in fac.factors):
-        return 0
-    return -1 if len(fac.factors) % 2 else 1
-
-
-def legendre3(n: int) -> int:
-    """Legendre symbol (n/3): 0 if 3 | n, +1 if n = 1 mod 3, -1 otherwise."""
-    r = n % 3
-    return 0 if r == 0 else (1 if r == 1 else -1)
-
-
-def mod_inverse(a: int, modulus: int) -> int:
-    """Inverse of a modulo modulus, in [0, modulus). Requires gcd(a, m) = 1."""
-    if modulus < 1:
-        raise ValueError(f"need modulus >= 1, got {modulus}")
-    if modulus == 1:
-        return 0
-    g = math.gcd(a, modulus)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {modulus} (gcd {g})")
-    return pow(a, -1, modulus)

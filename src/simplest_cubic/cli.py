@@ -2,8 +2,10 @@
 
 Subcommands: analyze | nib | gaussian | table | verify.
 Exit codes: 0 ok, 2 usage error, 3 wild ramification (no NIB), 4 verification
-failure (including an ArithmeticError: the numeric precision cap reached, or
-a factorization that failed).  Output formats: md (default), json, csv.
+failure (including an ArithmeticError: the numeric precision cap reached, a
+factorization that failed, a conductor over the period budget, or a printed
+period whose conjugate the numeric pass cannot identify).  Output formats:
+md (default), json, csv.
 """
 
 from __future__ import annotations

@@ -42,14 +42,6 @@ class MonicCubic:
         """Dense descending coefficients (1, p2, p1, p0)."""
         return (Fraction(1), self.p2, self.p1, self.p0)
 
-    def __call__(self, x):
-        return ((x + self.p2) * x + self.p1) * x + self.p0
-
-
-def shanks_polynomial(n: int) -> MonicCubic:
-    """The defining cubic X^3 - n*X^2 - (n+3)*X - 1."""
-    return MonicCubic.of(-n, -(n + 3), -1)
-
 
 class FieldElement:
     """An element of L_n with exact rational coordinates over {1, rho, rho^2}."""
@@ -74,27 +66,9 @@ class FieldElement:
         raise AttributeError("FieldElement is immutable")
 
     @staticmethod
-    def from_coeffs(n: int, r0: Rational, r1: Rational, r2: Rational) -> "FieldElement":
-        f0, f1, f2 = Fraction(r0), Fraction(r1), Fraction(r2)
-        den = math.lcm(f0.denominator, f1.denominator, f2.denominator)
-        return FieldElement(
-            n,
-            (
-                int(f0 * den),
-                int(f1 * den),
-                int(f2 * den),
-            ),
-            den,
-        )
-
-    @staticmethod
     def rational(n: int, r: Rational) -> "FieldElement":
         f = Fraction(r)
         return FieldElement(n, (f.numerator, 0, 0), f.denominator)
-
-    @staticmethod
-    def rho(n: int) -> "FieldElement":
-        return FieldElement(n, (0, 1, 0))
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -171,9 +145,6 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"FieldElement(n={self.n}, num={self.num}, den={self.den})"
 
-    def is_zero(self) -> bool:
-        return self.num == (0, 0, 0)
-
     def is_rational(self) -> bool:
         return self.num[1] == 0 and self.num[2] == 0
 
@@ -197,16 +168,12 @@ class FieldElement:
         return (self, b, b.sigma())
 
     def trace(self) -> Fraction:
-        # Tr(1, rho, rho^2) = (3, n, n^2 + 2n + 6)
-        n = self.n
-        return Fraction(
-            3 * self.num[0] + n * self.num[1] + (n * n + 2 * n + 6) * self.num[2],
-            self.den,
-        )
+        return Fraction(self._trace_numerator(), self.den)
 
-    def norm(self) -> Fraction:
-        a, b, c = self.conjugates()
-        return (a * b * c).as_rational()
+    def _trace_numerator(self) -> int:
+        """den * Tr(self), from Tr(1, rho, rho^2) = (3, n, n^2 + 2n + 6)."""
+        n = self.n
+        return 3 * self.num[0] + n * self.num[1] + (n * n + 2 * n + 6) * self.num[2]
 
     def min_poly(self) -> MonicCubic:
         """Minimal polynomial from the exact conjugates (the oracle path)."""
@@ -264,20 +231,20 @@ def lemma42(r1: Rational, r2: Rational, r3: Rational, n: int) -> tuple[Fraction,
 
 
 def trace_form_disc(b1: FieldElement, b2: FieldElement, b3: FieldElement) -> Fraction:
-    """det[Tr(b_i * b_j)], the trace-form discriminant of the triple."""
-    b1._check(b2)
-    b1._check(b3)
-    basis = (b1, b2, b3)
-    prods = {}
-    for i in range(3):
-        for j in range(i, 3):
-            prods[(i, j)] = (basis[i] * basis[j]).trace()
-    m = [[prods[(min(i, j), max(i, j))] for j in range(3)] for i in range(3)]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    """det[Tr(b_i * b_j)], the trace-form discriminant of the triple.
+
+    With b_i = x_i / d_i for the integer numerators x_i, the determinant is
+    det[Tr(x_i * x_j)] / (d_1*d_2*d_3)^2: integer traces and one division.
+    """
+    x = [FieldElement(b.n, b.num) for b in (b1, b2, b3)]
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    t00, t01, t02, t11, t12, t22 = ((x[i] * x[j])._trace_numerator() for i, j in pairs)
+    det = (
+        t00 * (t11 * t22 - t12 * t12)
+        - t01 * (t01 * t22 - t12 * t02)
+        + t02 * (t01 * t12 - t11 * t02)
     )
+    return Fraction(det, (b1.den * b2.den * b3.den) ** 2)
 
 
 def _root_brackets(n: int) -> tuple[tuple[int, int], ...]:

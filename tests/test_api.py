@@ -20,7 +20,6 @@ def test_exported_names():
         "MonicCubic",
         "NibGenerator",
         "NumericVerification",
-        "PairSet",
         "PrecisionInsufficientError",
         "SpecialForm",
         "VerificationReport",
@@ -39,22 +38,17 @@ def test_exported_names():
         "find_pair",
         "generator",
         "is_tame",
-        "legendre3",
         "lemma42",
         "m_value",
         "min_poly_closed",
-        "mobius",
-        "mod_inverse",
         "numeric_periods",
         "numeric_roots",
         "numeric_verify",
         "numeric_verify_auto",
         "period_identity",
-        "shanks_polynomial",
         "shift",
         "special_forms",
         "square_free_split",
         "trace_form_disc",
-        "unit_orbit",
         "verify_nib",
     ]

@@ -205,6 +205,40 @@ def test_precision_cap_exit_code(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_oracle_retries_up_to_the_cap(monkeypatch, capsys):
+    # An inconclusive oracle result doubles the precision; past
+    # PRECISION_CAP the command fails with one error line and no stdout.
+    from simplest_cubic import cli, gaussian
+
+    real = gaussian.numeric_verify
+    tried = []
+
+    def below_512(n, precision_bits=256, display=None):
+        tried.append(precision_bits)
+        if precision_bits < 512:
+            raise gaussian.PrecisionInsufficientError(f"inconclusive at {precision_bits} bits")
+        return real(n, precision_bits, display)
+
+    monkeypatch.setattr(gaussian, "numeric_verify", below_512)
+    assert cli.main(["verify", "66"]) == cli.EXIT_OK
+    out = capsys.readouterr()
+    last = out.out.splitlines()[-1]
+    assert last.startswith("numeric gaussian oracle: pass ") and last.endswith(" precision=512")
+    assert out.err == "" and tried == [256, 512]
+
+    def always(n, precision_bits=256, display=None):
+        tried.append(precision_bits)
+        raise gaussian.PrecisionInsufficientError(f"inconclusive at {precision_bits} bits")
+
+    monkeypatch.setattr(gaussian, "numeric_verify", always)
+    tried.clear()
+    assert cli.main(["verify", "66"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: inconclusive at {gaussian.PRECISION_CAP} bits\n"
+    assert tried == [256, 512, 1024, 2048, 4096]
+
+
 def test_pollard_rho_failure_exit_code(monkeypatch, capsys):
     # Delta_(10^7) = 3302917 * 30276277: both factors lie past trial division.
     from simplest_cubic import arith, cli, invariants

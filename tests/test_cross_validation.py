@@ -44,10 +44,10 @@ def test_find_pair_on_all_valid_divisors():
         dec = decompose(n)
         a_n = a_element(n)
         for s in _valid_divisors(dec.delta_factors.factors):
-            ps = find_pair(n, s)
-            for a0, a1 in ps.all_six:
-                assert a0 * a0 - a0 * a1 + a1 * a1 == s
-                assert EisensteinInt(a0, a1).divides(a_n), (n, s, a0, a1)
+            # the canonical pair and its five unit multiples
+            for u in EisensteinInt(*find_pair(n, s)).associates():
+                assert u.x * u.x - u.x * u.y + u.y * u.y == s
+                assert u.divides(a_n), (n, s, u.x, u.y)
 
 
 def test_gcd_greatest_property():
@@ -78,13 +78,12 @@ def test_prime_power_pair_case():
     n = 20866
     dec = decompose(n)
     assert (dec.e, dec.c) == (7, 7)
-    ps = find_pair(n, 49)
-    assert ps.canonical == (3, 8)
+    assert find_pair(n, 49) == (3, 8)
     a_n = a_element(n)
-    for a0, a1 in ps.all_six:
-        assert a0 * a0 - a0 * a1 + a1 * a1 == 49
-        assert EisensteinInt(a0, a1).divides(a_n)
     gens = all_generators(n)  # verifies disc oracle + closed forms internally
     assert len(gens) == 6
+    for a0, a1 in (g.pair for g in gens):
+        assert a0 * a0 - a0 * a1 + a1 * a1 == 49
+        assert EisensteinInt(a0, a1).divides(a_n)
     result = numeric_verify(n, 128)
     assert result.ok and result.residual < 2**-50

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import from_coeffs, norm, rho, shanks_polynomial, trace_form_det
 from simplest_cubic.cubic_field import (
     FieldElement,
     MonicCubic,
     lemma42,
     numeric_roots,
-    shanks_polynomial,
     trace_form_disc,
 )
-from simplest_cubic.invariants import decompose, delta
+from simplest_cubic.integral_basis import build
+from simplest_cubic.invariants import decompose, delta, is_tame
+from simplest_cubic.nib import canonical_pair, generator
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -22,22 +24,22 @@ field_params = st.integers(min_value=-60, max_value=60)
 
 
 def test_mul_examples():
-    rho = FieldElement.rho(2)
-    assert rho * rho * rho == FieldElement(2, (1, 5, 2))
-    a = FieldElement.from_coeffs(7, Fraction(1, 3), -2, Fraction(5, 4))
+    x = rho(2)
+    assert x * x * x == FieldElement(2, (1, 5, 2))
+    a = from_coeffs(7, Fraction(1, 3), -2, Fraction(5, 4))
     assert FieldElement.rational(7, 1) * a == a
-    p, q, r = FieldElement.rho(11).conjugates()
+    p, q, r = rho(11).conjugates()
     assert (p * q * r).as_rational() == 1
 
 
 def test_mul_rejects_mixed_fields():
     with pytest.raises(ValueError):
-        FieldElement.rho(1) * FieldElement.rho(2)
+        rho(1) * rho(2)
 
 
 def test_sigma_examples():
     assert FieldElement.rational(9, Fraction(3, 7)).sigma() == FieldElement.rational(9, Fraction(3, 7))
-    s = FieldElement.rho(286).sigma()
+    s = rho(286).sigma()
     assert s == FieldElement(286, (-2, -287, 1))
     assert s.sigma() == FieldElement(286, (288, 286, -1))
 
@@ -45,34 +47,33 @@ def test_sigma_examples():
 @given(field_params, rationals, rationals, rationals)
 @settings(max_examples=100, deadline=None)
 def test_sigma_order_three(n, r0, r1, r2):
-    x = FieldElement.from_coeffs(n, r0, r1, r2)
+    x = from_coeffs(n, r0, r1, r2)
     assert x.sigma().sigma().sigma() == x
 
 
 def test_trace_norm_examples():
     for n in (-7, 1, 12, 286):
-        rho = FieldElement.rho(n)
-        assert rho.trace() == n
-        assert rho.norm() == 1
-        mp = rho.min_poly()
+        r = rho(n)
+        assert r.trace() == n
+        assert norm(r) == 1
+        mp = r.min_poly()
         assert mp == shanks_polynomial(n)
-        v = FieldElement.from_coeffs(n, 9, 1, 0)
+        v = from_coeffs(n, 9, 1, 0)
         assert v.trace() == 27 + n  # Tr(v + rho) = 3v + n
 
 
 def test_rho_prime_identity():
     # rho' = -1/(1 + rho): (1 + rho) * rho' = -1
     for n in (-5, 1, 12, 286):
-        rho = FieldElement.rho(n)
-        rho_p = rho.sigma()
-        prod = (FieldElement.rational(n, 1) + rho) * rho_p
+        x = rho(n)
+        prod = (FieldElement.rational(n, 1) + x) * x.sigma()
         assert prod.as_rational() == -1
 
 
 def rho_rho_prime(n, r1, r2, r3):
     """r1*rho + r2*rho' + r3 with rho' = sigma(rho), by field arithmetic."""
-    rho = FieldElement.rho(n)
-    return rho * Fraction(r1) + rho.sigma() * Fraction(r2) + FieldElement.rational(n, r3)
+    x = rho(n)
+    return x * Fraction(r1) + x.sigma() * Fraction(r2) + FieldElement.rational(n, r3)
 
 
 def test_lemma42_examples():
@@ -105,17 +106,55 @@ def test_lemma42_matches_conjugates(n, r1, r2, r3):
 def test_trace_form_disc_examples():
     n = 286
     one = FieldElement.rational(n, 1)
-    rho = FieldElement.rho(n)
-    assert trace_form_disc(one, rho, rho * rho) == delta(n) ** 2
-    conj = rho.conjugates()
+    x = rho(n)
+    assert trace_form_disc(one, x, x * x) == delta(n) ** 2
+    conj = x.conjugates()
     assert trace_form_disc(*conj) == n**2 * delta(n) ** 2
-    assert trace_form_disc(one, one, rho) == 0
+    assert trace_form_disc(one, one, x) == 0
+
+
+# (numerators, denominator) of an element with a denominator other than 1
+elements = st.tuples(
+    st.tuples(*[st.integers(min_value=-10**6, max_value=10**6)] * 3),
+    st.integers(min_value=2, max_value=10**4),
+)
+
+
+@given(field_params, elements, elements, elements)
+@settings(max_examples=300, deadline=None)
+def test_trace_form_disc_matches_fraction_determinant(n, x1, x2, x3):
+    # Integer traces over one division against the Fraction determinant.
+    triple = [FieldElement(n, num, den) for num, den in (x1, x2, x3)]
+    assert trace_form_disc(*triple) == trace_form_det(*triple)
+
+
+@given(field_params, elements, elements, rationals, rationals)
+@settings(max_examples=200, deadline=None)
+def test_trace_form_disc_dependent_triples(n, x1, x2, p, q):
+    a, b = FieldElement(n, *x1), FieldElement(n, *x2)
+    triple = (a, b, a * p + b * q)
+    assert trace_form_disc(*triple) == 0 == trace_form_det(*triple)
+    assert trace_form_disc(a, a * q, b) == 0 == trace_form_det(a, a * q, b)
+
+
+def test_trace_form_disc_canonical_and_basis_triples():
+    checked = 0
+    for n in range(-2000, 2001):
+        if not is_tame(n):
+            continue
+        conj = generator(n, *canonical_pair(n)).element.conjugates()
+        basis = build(n)
+        triple = (FieldElement.rational(n, 1), basis.phi, basis.psi)
+        assert trace_form_disc(*conj) == trace_form_det(*conj), n
+        assert trace_form_disc(*triple) == trace_form_det(*triple), n
+        checked += 1
+    assert checked == 2816
 
 
 def test_root_identities_exact():
     # rho^2 rho' + rho'^2 rho'' + rho''^2 rho = 3 and its companions
     for n in (-9, -1, 1, 5, 12, 66, 286):
-        p, q, r = FieldElement.rho(n).conjugates()
+        p, q, r = rho(n).conjugates()
         assert (p * p * q + q * q * r + r * r * p).as_rational() == 3
         assert (p * p * r + q * q * p + r * r * q).as_rational() == -(n * n + 3 * n + 6)
 
@@ -132,17 +171,17 @@ def test_delta_and_cube_congruences():
 @given(field_params, rationals, rationals, rationals)
 @settings(max_examples=80, deadline=None)
 def test_min_poly_annihilates(n, r0, r1, r2):
-    x = FieldElement.from_coeffs(n, r0, r1, r2)
+    x = from_coeffs(n, r0, r1, r2)
     mp = x.min_poly()
     value = x * x * x + x * x * mp.p2 + x * mp.p1 + FieldElement.rational(n, mp.p0)
-    assert value.is_zero()
+    assert value == FieldElement.rational(n, 0)
 
 
 def test_min_poly_trace_invariance():
-    x = FieldElement.from_coeffs(23, Fraction(2, 5), -3, Fraction(7, 2))
+    x = from_coeffs(23, Fraction(2, 5), -3, Fraction(7, 2))
     assert x.sigma().min_poly() == x.min_poly()
     assert x.sigma().trace() == x.trace()
-    assert x.sigma().norm() == x.norm()
+    assert norm(x.sigma()) == norm(x)
 
 
 def test_monic_cubic_reflection():

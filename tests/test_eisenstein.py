@@ -11,9 +11,9 @@ from simplest_cubic.eisenstein import (
     find_pair,
     from_int,
     sigma_pair,
-    unit_orbit,
 )
 from simplest_cubic.invariants import decompose, is_tame
+from simplest_cubic.nib import all_generators
 
 small_ints = st.integers(min_value=-1000, max_value=1000)
 
@@ -78,22 +78,6 @@ def test_gcd_divides_both(x1, y1, x2, y2):
     assert g.divides(a) and g.divides(b)
 
 
-def test_unit_orbit_examples():
-    assert unit_orbit(2, 3) == [(2, 3), (-2, -3), (3, 1), (-3, -1), (-1, 2), (1, -2)]
-    assert unit_orbit(1, 0) == [(1, 0), (-1, 0), (0, -1), (0, 1), (1, 1), (-1, -1)]
-    orbit = unit_orbit(5, 7)
-    assert (7, 2) in orbit and (-2, 5) in orbit
-    with pytest.raises(ValueError):
-        unit_orbit(0, 0)
-
-
-def test_unit_orbit_shares_norm():
-    for a0, a1 in ((2, 3), (5, 7), (1, -1), (4, 5)):
-        s = a0 * a0 - a0 * a1 + a1 * a1
-        for p, q in unit_orbit(a0, a1):
-            assert p * p - p * q + q * q == s
-
-
 def test_sigma_pair_is_zeta_multiplication():
     for pair in ((2, 3), (5, 7), (1, -1)):
         elem = EisensteinInt(*pair)
@@ -101,14 +85,16 @@ def test_sigma_pair_is_zeta_multiplication():
 
 
 def test_find_pair_golden():
-    ps = find_pair(286, 7)
-    assert ps.canonical == (2, 3)
-    assert ps.all_six == ((2, 3), (-2, -3), (3, 1), (-3, -1), (-1, 2), (1, -2))
-    ps = find_pair(66, 39)
-    assert ps.canonical == (5, 7)
-    assert set(ps.all_six) == {(5, 7), (-5, -7), (7, 2), (-7, -2), (2, -5), (-2, 5)}
-    ps = find_pair(5, 7)
-    assert (1, 3) in ps.all_six
+    # The six pairs are formed only by all_generators, from the canonical one.
+    assert find_pair(286, 7) == (2, 3)
+    assert {g.pair for g in all_generators(286)} == {
+        (2, 3), (-2, -3), (3, 1), (-3, -1), (-1, 2), (1, -2)
+    }
+    assert find_pair(66, 39) == (5, 7)
+    assert {g.pair for g in all_generators(66)} == {
+        (5, 7), (-5, -7), (7, 2), (-7, -2), (2, -5), (-2, 5)
+    }
+    assert (1, 3) in [g.pair for g in all_generators(5)]
 
 
 def test_find_pair_divides_a_n():
@@ -116,9 +102,10 @@ def test_find_pair_divides_a_n():
         if not is_tame(n):
             continue
         dec = decompose(n)
-        ps = find_pair(n, dec.e * dec.c)
+        pairs = [g.pair for g in all_generators(n)]
+        assert find_pair(n, dec.e * dec.c) == pairs[0]
         a_n = a_element(n)
-        for p, q in ps.all_six:
+        for p, q in pairs:
             assert p * p - p * q + q * q == dec.e * dec.c
             assert EisensteinInt(p, q).divides(a_n), (n, p, q)
 
@@ -126,9 +113,7 @@ def test_find_pair_divides_a_n():
 def test_find_pair_mod27_three_adic_shape():
     # 3 || e*c forces 3 coprime to a0, a1 and dividing a0 + a1
     for n in range(12, 700, 27):
-        dec = decompose(n)
-        ps = find_pair(n, dec.e * dec.c)
-        for a0, a1 in ps.all_six:
+        for a0, a1 in (g.pair for g in all_generators(n)):
             assert a0 % 3 != 0 and a1 % 3 != 0 and (a0 + a1) % 3 == 0
 
 

@@ -5,7 +5,8 @@ import mpmath
 import pytest
 
 from golden_data import TABLE1, TABLE2, CONJUGATE_CONVENTION_ROWS, element_of, poly_of
-from simplest_cubic.arith import factor, legendre3, mobius
+from reference import from_coeffs, legendre3, mobius
+from simplest_cubic.arith import factor
 from simplest_cubic.cubic_field import FieldElement
 from simplest_cubic.eisenstein import EisensteinInt, eis_gcd, from_int
 from simplest_cubic.gaussian import (
@@ -96,7 +97,7 @@ def test_corollary_forms_agree_with_period_identity():
         mu = 1 if rep.prime_count % 2 == 0 else -1
         if sf.kind in ("f", "g"):
             v = (legendre3(n) - n) // 3
-            expected = FieldElement.from_coeffs(n, v, 1, 0) * (mu * legendre3(n))
+            expected = from_coeffs(n, v, 1, 0) * (mu * legendre3(n))
         else:
             expected = FieldElement(n, (5, n + 2, -1), 9) * mu
         assert rep.period_element == expected, n
@@ -110,7 +111,7 @@ def test_lehmer_special_case_eq_1_4():
     assert {1, 2, -1, 7, 13} <= set(lehmer)
     for n in lehmer:
         v = (legendre3(n) - n) // 3
-        base = FieldElement.from_coeffs(n, v, 1, 0)
+        base = from_coeffs(n, v, 1, 0)
         assert period_identity(n).period_element in (base, -base), n
 
 

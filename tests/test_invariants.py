@@ -59,7 +59,7 @@ def test_discriminant_is_conductor_squared():
 
 
 def test_tame_gamma_and_square_free():
-    from simplest_cubic.arith import mobius
+    from reference import mobius
 
     for n in range(-200, 200):
         inv = conductor(n)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from golden_data import NIB_286, NIB_66, element_of, poly_of
-from simplest_cubic.arith import legendre3
+from reference import legendre3
 from simplest_cubic.cubic_field import trace_form_disc
 from simplest_cubic.invariants import WildRamificationError, conductor, decompose, is_tame
 from simplest_cubic.nib import (
